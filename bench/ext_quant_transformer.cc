@@ -11,7 +11,7 @@
  * owns its simulated device and derives its noise seeds from (bench,
  * point, repetition), so output is byte-identical for any job count —
  * and independent of the host's integer-SIMD tier, which the forced-
- * tier ctest (cmake/CompareSimdTiers.cmake) enforces byte-for-byte.
+ * tier ctest (cmake/CompareVariants.cmake) enforces byte-for-byte.
  *
  * --verify host-checks each stage through the functional INT8 backend
  * against the scalar reference; the quantized combo's contract is

@@ -12,9 +12,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "arch/types.hh"
 #include "blas/simd_dispatch.hh"
+#include "common/logging.hh"
+#include "fp/half.hh"
 #include "sim/device.hh"
 
 namespace mc {
@@ -68,6 +71,54 @@ inline constexpr GemmCombo allLibraryCombos[] = {
 /** Parse a combo name ("dgemm", "i8gemm", ...); fatal on unknown
  *  names. */
 GemmCombo parseCombo(const std::string &name);
+
+/**
+ * The host types one combo computes in, as visitCombo hands them to
+ * its visitor: C/D storage, A/B storage and accumulator.
+ */
+template <typename CD, typename AB, typename Acc, bool RoundEachStep>
+struct ComboTypes
+{
+    using TCD = CD;
+    using TAB = AB;
+    using TAcc = Acc;
+    /** The accumulator rounds to TCD after every multiply-add (the
+     *  f16 FMA chain of HGEMM). */
+    static constexpr bool roundEachStep = RoundEachStep;
+    /** Integer storage with a requantizing epilogue (QuantParams):
+     *  runs through the int8 entry points, not the float templates. */
+    static constexpr bool quantized = std::is_integral_v<AB>;
+};
+
+/** The I8gemm combo's types. */
+using QuantizedComboTypes =
+    ComboTypes<std::int8_t, std::int8_t, std::int32_t, false>;
+
+/**
+ * Call @p visitor with the ComboTypes of @p combo and return what it
+ * returns. This is the one place that maps a combo to its host types
+ * and rounding rule; a new combo is one case here.
+ */
+template <typename F>
+decltype(auto)
+visitCombo(GemmCombo combo, F &&visitor)
+{
+    switch (combo) {
+      case GemmCombo::Dgemm:
+        return visitor(ComboTypes<double, double, double, false>{});
+      case GemmCombo::Sgemm:
+        return visitor(ComboTypes<float, float, float, false>{});
+      case GemmCombo::Hgemm:
+        return visitor(ComboTypes<fp::Half, fp::Half, float, true>{});
+      case GemmCombo::Hhs:
+        return visitor(ComboTypes<fp::Half, fp::Half, float, false>{});
+      case GemmCombo::Hss:
+        return visitor(ComboTypes<float, fp::Half, float, false>{});
+      case GemmCombo::I8gemm:
+        return visitor(QuantizedComboTypes{});
+    }
+    mc_panic("unknown GemmCombo ", static_cast<int>(combo));
+}
 
 // ---- Quantization -------------------------------------------------------
 

@@ -19,7 +19,7 @@
  * The cached bytes are produced by the exact same packing routines the
  * uncached path runs, so results are memcmp-identical with the cache
  * on or off — tests/blas/pack_cache_test.cc and the
- * ComparePackCache.cmake gate enforce this.
+ * bench_pack_cache_* gates (cmake/CompareVariants.cmake) enforce this.
  *
  * The cache is process-wide (PackCache::instance()) and byte-capped
  * (LRU, default 64 MB). Control knobs: the MC_PACK_CACHE environment

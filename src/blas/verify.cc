@@ -446,46 +446,25 @@ verifyGemm(const GemmConfig &config, VerifyScheme scheme,
               "large");
     const GemmPlan plan = planGemm(config, arch::defaultCdna2(), opts);
 
-    switch (config.combo) {
-      case GemmCombo::Dgemm:
-        return entries > 1
-                   ? runTypedBatched<double, double, double>(
-                         config, plan, scheme, seed, false, func, entries)
-                   : runTyped<double, double, double>(config, plan,
-                                                      scheme, seed, false,
-                                                      func);
-      case GemmCombo::Sgemm:
-        return entries > 1
-                   ? runTypedBatched<float, float, float>(
-                         config, plan, scheme, seed, false, func, entries)
-                   : runTyped<float, float, float>(config, plan, scheme,
-                                                   seed, false, func);
-      case GemmCombo::Hgemm:
-        // SIMD f16 FMA chain rounds every step.
-        return entries > 1
-                   ? runTypedBatched<fp::Half, fp::Half, float>(
-                         config, plan, scheme, seed, true, func, entries)
-                   : runTyped<fp::Half, fp::Half, float>(
-                         config, plan, scheme, seed, true, func);
-      case GemmCombo::Hhs:
-        return entries > 1
-                   ? runTypedBatched<fp::Half, fp::Half, float>(
-                         config, plan, scheme, seed, false, func, entries)
-                   : runTyped<fp::Half, fp::Half, float>(
-                         config, plan, scheme, seed, false, func);
-      case GemmCombo::Hss:
-        return entries > 1
-                   ? runTypedBatched<float, fp::Half, float>(
-                         config, plan, scheme, seed, false, func, entries)
-                   : runTyped<float, fp::Half, float>(config, plan,
-                                                      scheme, seed, false,
-                                                      func);
-      case GemmCombo::I8gemm:
-        return entries > 1 ? runI8Batched(config, plan, scheme, seed,
-                                          func, entries)
-                           : runI8(config, plan, scheme, seed, func);
-    }
-    mc_panic("unreachable combo in verifyGemm");
+    return visitCombo(config.combo, [&](auto types) {
+        using T = decltype(types);
+        if constexpr (T::quantized) {
+            return entries > 1 ? runI8Batched(config, plan, scheme, seed,
+                                              func, entries)
+                               : runI8(config, plan, scheme, seed, func);
+        } else {
+            using TCD = typename T::TCD;
+            using TAB = typename T::TAB;
+            using TAcc = typename T::TAcc;
+            return entries > 1
+                       ? runTypedBatched<TCD, TAB, TAcc>(
+                             config, plan, scheme, seed, T::roundEachStep,
+                             func, entries)
+                       : runTyped<TCD, TAB, TAcc>(config, plan, scheme,
+                                                  seed, T::roundEachStep,
+                                                  func);
+        }
+    });
 }
 
 } // namespace blas

@@ -81,6 +81,10 @@ class CliParser
     /** Render the --help text. */
     std::string usage() const;
 
+    /** Report a usage error the parser's way and exit with
+     *  exit_code::Usage: for values a caller validates after parse(). */
+    [[noreturn]] void usageError(const std::string &message) const;
+
   private:
     enum class FlagType { Bool, Int, Double, String };
 
@@ -104,7 +108,6 @@ class CliParser
     const Flag &lookup(const std::string &name, FlagType type) const;
     void setFromString(Flag &flag, const std::string &name,
                        const std::string &text);
-    [[noreturn]] void usageError(const std::string &message) const;
     void checkConstraints() const;
 
     std::string _summary;

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blas/gemm.hh"
@@ -150,15 +153,26 @@ TEST(SweepRunner, ParallelGemmSweepIsBitIdenticalToSerial)
 
 TEST(SweepRunner, MapFastCancelSkipsUnstartedPoints)
 {
-    // One worker, 64 points, the very first throws: the remaining 63
-    // are queued behind it and must be cancelled, not executed.
+    // Two workers, 64 points, the very first throws: the points still
+    // queued behind it must be cancelled, not executed. Left alone, the
+    // second worker drains all 63 trivial points in the microseconds
+    // between point 0's throw and the cancel flag the runner sets on
+    // catching it. So points 1..63 hold until point 0 has thrown and
+    // then take 10 ms each: the first worker sets the flag and reaches
+    // the queue long before the second worker could empty it.
     SweepRunner runner("cancel", 2);
     std::atomic<int> executed{0};
+    std::latch thrown(1);
     EXPECT_THROW(runner.map(64,
                             [&](std::size_t i) -> int {
                                 ++executed;
-                                if (i == 0)
+                                if (i == 0) {
+                                    thrown.count_down();
                                     throw std::runtime_error("boom");
+                                }
+                                thrown.wait();
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(10));
                                 return 0;
                             }),
                  std::runtime_error);

@@ -46,6 +46,7 @@
  * blocks per row and reports tuned-vs-default geomeans.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -106,6 +107,8 @@ struct CaseResult
     std::vector<TierTiming> fast;
 };
 
+constexpr double kAlpha = 1.25, kBeta = 0.5;
+
 double
 nowSeconds()
 {
@@ -113,6 +116,38 @@ nowSeconds()
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
 }
+
+/** Best (lowest) wall-clock seconds of @p reps calls of @p fn. */
+template <typename Fn>
+double
+bestOf(int reps, const Fn &fn)
+{
+    double best = std::numeric_limits<double>::max();
+    for (int r = 0; r < reps; ++r) {
+        const double t0 = nowSeconds();
+        fn();
+        best = std::min(best, nowSeconds() - t0);
+    }
+    return best;
+}
+
+/** Byte comparison of two result matrices (Half included: the storage
+ *  types are trivially copyable bit patterns). */
+template <typename T>
+bool
+bytesEqual(const Matrix<T> &x, const Matrix<T> &y)
+{
+    return std::memcmp(x.data(), y.data(),
+                       x.rows() * x.cols() * sizeof(T)) == 0;
+}
+
+// ---- Per-kind combo ops ---------------------------------------------------
+//
+// blas::visitCombo maps every combo to its blas::ComboTypes; the timing
+// paths below are written once over those types. What differs between
+// the float combos and the quantized one is this overload set: operand
+// fill, the scalar reference and the fast path. A new combo is one
+// visitCombo case plus, for a new kind, one overload of each.
 
 template <typename T>
 void
@@ -123,10 +158,10 @@ fillRandom(Matrix<T> &m, Rng &rng)
             m(i, j) = T(static_cast<float>(rng.uniform(-1.0, 1.0)));
 }
 
-/** Full-range int8 operands (the float-driven fillRandom would
- *  truncate to {-1, 0, 1} and leave the requantizer untested). */
+/** Full-range int8 operands (the float fill would truncate to
+ *  {-1, 0, 1} and leave the requantizer untested). */
 void
-fillRandomI8(Matrix<std::int8_t> &m, Rng &rng)
+fillRandom(Matrix<std::int8_t> &m, Rng &rng)
 {
     for (std::size_t i = 0; i < m.rows(); ++i)
         for (std::size_t j = 0; j < m.cols(); ++j)
@@ -150,49 +185,99 @@ perfQuantParams()
     return qp;
 }
 
-/** Byte comparison of two result matrices (Half included: the storage
- *  types are trivially copyable bit patterns). */
-template <typename T>
-bool
-bytesEqual(const Matrix<T> &x, const Matrix<T> &y)
+/** Random m x k A, k x n B and m x n C in one combo's host types. */
+template <typename Types>
+struct Operands
 {
-    return std::memcmp(x.data(), y.data(),
-                       x.rows() * x.cols() * sizeof(T)) == 0;
+    Matrix<typename Types::TAB> a, b;
+    Matrix<typename Types::TCD> c;
+
+    Operands(std::size_t m, std::size_t n, std::size_t k,
+             std::uint64_t seed)
+        : a(m, k), b(k, n), c(m, n)
+    {
+        Rng rng(seed);
+        fillRandom(a, rng);
+        fillRandom(b, rng);
+        fillRandom(c, rng);
+    }
+};
+
+template <typename Types>
+void
+scalarGemm(const Operands<Types> &p, Matrix<typename Types::TCD> &d)
+{
+    blas::scalarReferenceGemm<typename Types::TCD, typename Types::TAB,
+                              typename Types::TAcc>(
+        kAlpha, p.a, p.b, kBeta, p.c, d, Types::roundEachStep);
 }
 
-template <typename TCD, typename TAB, typename TAcc>
+void
+scalarGemm(const Operands<blas::QuantizedComboTypes> &p,
+           Matrix<std::int8_t> &d)
+{
+    blas::scalarQuantizedGemm(kAlpha, p.a, p.b, kBeta, p.c, d,
+                              perfQuantParams());
+}
+
+template <typename Types>
+void
+fastGemm(const Operands<Types> &p, Matrix<typename Types::TCD> &d,
+         const blas::FunctionalGemmOptions &opts)
+{
+    blas::fastReferenceGemm<typename Types::TCD, typename Types::TAB,
+                            typename Types::TAcc>(
+        kAlpha, p.a, p.b, kBeta, p.c, d, Types::roundEachStep, opts);
+}
+
+void
+fastGemm(const Operands<blas::QuantizedComboTypes> &p,
+         Matrix<std::int8_t> &d, const blas::FunctionalGemmOptions &opts)
+{
+    blas::fastQuantizedGemm(kAlpha, p.a, p.b, kBeta, p.c, d,
+                            perfQuantParams(), opts);
+}
+
+/** The built-in blocks pinned explicitly: with a tuning artifact
+ *  active, auto (0) fields would resolve to the tuned blocks. */
+blas::FunctionalGemmOptions
+defaultBlockOptions(blas::SimdTier tier, int threads)
+{
+    blas::FunctionalGemmOptions opts;
+    opts.threads = threads;
+    opts.simd = tier;
+    opts.blockM = blas::kDefaultBlockM;
+    opts.blockN = blas::kDefaultBlockN;
+    opts.blockK = blas::kDefaultBlockK;
+    return opts;
+}
+
+/**
+ * Time one combo at n x n x n: the legacy scalar reference (when
+ * @p with_scalar), then every tier x thread count of the fast path,
+ * memcmp-checking each result against the scalar tier's.
+ */
+template <typename Types>
 CaseResult
-runCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
+runCase(blas::GemmCombo combo, std::size_t n,
         const std::vector<blas::SimdTier> &tiers,
         const std::vector<int> &threads, int reps, bool with_scalar,
         std::uint64_t seed)
 {
-    Rng rng(seed);
-    Matrix<TAB> a(n, n), b(n, n);
-    Matrix<TCD> c(n, n);
-    fillRandom(a, rng);
-    fillRandom(b, rng);
-    fillRandom(c, rng);
-    const double alpha = 1.25, beta = 0.5;
+    using TCD = typename Types::TCD;
+    const Operands<Types> p(n, n, n, seed);
 
     CaseResult out;
     out.combo = combo;
     out.n = n;
-    out.roundEachStep = round_each_step;
+    out.roundEachStep = Types::roundEachStep;
 
     Matrix<TCD> d_scalar(n, n);
     if (with_scalar) {
         // One scalar pass is minutes at N = 2048; take the best of two
         // only when it is cheap.
-        const int scalar_reps = n <= 512 ? 2 : 1;
-        double best = std::numeric_limits<double>::max();
-        for (int r = 0; r < scalar_reps; ++r) {
-            const double t0 = nowSeconds();
-            blas::scalarReferenceGemm<TCD, TAB, TAcc>(
-                alpha, a, b, beta, c, d_scalar, round_each_step);
-            best = std::min(best, nowSeconds() - t0);
-        }
-        out.scalarSeconds = best;
+        out.scalarSeconds =
+            bestOf(n <= 512 ? 2 : 1, [&] { scalarGemm(p, d_scalar); });
     }
 
     // The scalar tier runs first (callers put it first): its result is
@@ -206,22 +291,11 @@ runCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
     const bool tuned_compare = blas::tuningActive();
     for (blas::SimdTier tier : tiers) {
         for (int t : threads) {
-            // Pin the built-in blocks explicitly: with an artifact
-            // active, auto (0) fields would resolve to the tuned
-            // blocks, and this timing is the *default* baseline.
-            blas::FunctionalGemmOptions opts;
-            opts.threads = t;
-            opts.simd = tier;
-            opts.blockM = blas::kDefaultBlockM;
-            opts.blockN = blas::kDefaultBlockN;
-            opts.blockK = blas::kDefaultBlockK;
-            double best = std::numeric_limits<double>::max();
-            for (int r = 0; r < reps; ++r) {
-                const double t0 = nowSeconds();
-                blas::fastReferenceGemm<TCD, TAB, TAcc>(
-                    alpha, a, b, beta, c, d_fast, round_each_step, opts);
-                best = std::min(best, nowSeconds() - t0);
-            }
+            // This timing is the *default*-blocks baseline.
+            const blas::FunctionalGemmOptions opts =
+                defaultBlockOptions(tier, t);
+            const double best =
+                bestOf(reps, [&] { fastGemm(p, d_fast, opts); });
             if (with_scalar && !bytesEqual(d_fast, d_scalar)) {
                 mc_fatal("fast backend diverged from the legacy scalar "
                          "path: ", blas::comboInfo(combo).name, " n=", n,
@@ -265,14 +339,8 @@ runCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
                  resolved.blockN != blas::kDefaultBlockN ||
                  resolved.blockK != blas::kDefaultBlockK);
             if (timing.tunedApplied) {
-                double tuned_best = std::numeric_limits<double>::max();
-                for (int r = 0; r < reps; ++r) {
-                    const double t0 = nowSeconds();
-                    blas::fastReferenceGemm<TCD, TAB, TAcc>(
-                        alpha, a, b, beta, c, d_fast, round_each_step,
-                        auto_opts);
-                    tuned_best = std::min(tuned_best, nowSeconds() - t0);
-                }
+                const double tuned_best =
+                    bestOf(reps, [&] { fastGemm(p, d_fast, auto_opts); });
                 if (!bytesEqual(d_fast, d_anchor)) {
                     mc_fatal("tuned blocks diverged from the scalar-tier "
                              "anchor: ", blas::comboInfo(combo).name,
@@ -294,132 +362,6 @@ runCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
     return out;
 }
 
-/**
- * The quantized-combo twin of runCase. Same three generations and the
- * same memcmp discipline — but through the int8 entry points
- * (scalarQuantizedGemm / fastQuantizedGemm), with full-range int8
- * operands and asymmetric quantization parameters so the zero-point
- * correction epilogue is part of every timing.
- */
-CaseResult
-runCaseI8(blas::GemmCombo combo, std::size_t n,
-          const std::vector<blas::SimdTier> &tiers,
-          const std::vector<int> &threads, int reps, bool with_scalar,
-          std::uint64_t seed)
-{
-    Rng rng(seed);
-    Matrix<std::int8_t> a(n, n), b(n, n), c(n, n);
-    fillRandomI8(a, rng);
-    fillRandomI8(b, rng);
-    fillRandomI8(c, rng);
-    const double alpha = 1.25, beta = 0.5;
-    const blas::QuantParams qp = perfQuantParams();
-
-    CaseResult out;
-    out.combo = combo;
-    out.n = n;
-    out.roundEachStep = false;
-
-    Matrix<std::int8_t> d_scalar(n, n);
-    if (with_scalar) {
-        const int scalar_reps = n <= 512 ? 2 : 1;
-        double best = std::numeric_limits<double>::max();
-        for (int r = 0; r < scalar_reps; ++r) {
-            const double t0 = nowSeconds();
-            blas::scalarQuantizedGemm(alpha, a, b, beta, c, d_scalar, qp);
-            best = std::min(best, nowSeconds() - t0);
-        }
-        out.scalarSeconds = best;
-    }
-
-    Matrix<std::int8_t> d_anchor(n, n);
-    bool have_anchor = false;
-    std::map<int, double> scalar_tier_seconds;
-
-    Matrix<std::int8_t> d_fast(n, n);
-    const bool tuned_compare = blas::tuningActive();
-    for (blas::SimdTier tier : tiers) {
-        for (int t : threads) {
-            blas::FunctionalGemmOptions opts;
-            opts.threads = t;
-            opts.simd = tier;
-            opts.blockM = blas::kDefaultBlockM;
-            opts.blockN = blas::kDefaultBlockN;
-            opts.blockK = blas::kDefaultBlockK;
-            double best = std::numeric_limits<double>::max();
-            for (int r = 0; r < reps; ++r) {
-                const double t0 = nowSeconds();
-                blas::fastQuantizedGemm(alpha, a, b, beta, c, d_fast, qp,
-                                        opts);
-                best = std::min(best, nowSeconds() - t0);
-            }
-            if (with_scalar && !bytesEqual(d_fast, d_scalar)) {
-                mc_fatal("fast backend diverged from the legacy scalar "
-                         "path: ", blas::comboInfo(combo).name, " n=", n,
-                         " simd=", blas::simdTierName(tier),
-                         " threads=", t);
-            }
-            if (!have_anchor) {
-                d_anchor = d_fast;
-                have_anchor = true;
-            } else if (!bytesEqual(d_fast, d_anchor)) {
-                mc_fatal("SIMD tier diverged from the scalar tier: ",
-                         blas::comboInfo(combo).name, " n=", n,
-                         " simd=", blas::simdTierName(tier),
-                         " threads=", t);
-            }
-            if (tier == blas::SimdTier::Scalar)
-                scalar_tier_seconds[t] = best;
-            TierTiming timing;
-            timing.tier = tier;
-            timing.threads = t;
-            timing.seconds = best;
-            timing.speedupLegacy =
-                out.scalarSeconds > 0.0 ? out.scalarSeconds / best : 0.0;
-            const auto base = scalar_tier_seconds.find(t);
-            timing.speedupVsScalarTier =
-                base != scalar_tier_seconds.end() ? base->second / best
-                                                  : 0.0;
-
-            blas::FunctionalGemmOptions auto_opts;
-            auto_opts.threads = t;
-            auto_opts.simd = tier;
-            const blas::FunctionalGemmOptions resolved =
-                blas::resolveFunctionalOptions(auto_opts, combo, n);
-            timing.resolvedConfig = {resolved.blockM, resolved.blockN,
-                                     resolved.blockK, resolved.threads};
-            timing.tunedApplied =
-                tuned_compare &&
-                (resolved.blockM != blas::kDefaultBlockM ||
-                 resolved.blockN != blas::kDefaultBlockN ||
-                 resolved.blockK != blas::kDefaultBlockK);
-            if (timing.tunedApplied) {
-                double tuned_best = std::numeric_limits<double>::max();
-                for (int r = 0; r < reps; ++r) {
-                    const double t0 = nowSeconds();
-                    blas::fastQuantizedGemm(alpha, a, b, beta, c, d_fast,
-                                            qp, auto_opts);
-                    tuned_best = std::min(tuned_best, nowSeconds() - t0);
-                }
-                if (!bytesEqual(d_fast, d_anchor)) {
-                    mc_fatal("tuned blocks diverged from the scalar-tier "
-                             "anchor: ", blas::comboInfo(combo).name,
-                             " n=", n, " simd=", blas::simdTierName(tier),
-                             " threads=", t);
-                }
-                timing.tunedSeconds = tuned_best;
-                timing.tunedSpeedup =
-                    tuned_best > 0.0 ? best / tuned_best : 0.0;
-            } else if (tuned_compare) {
-                timing.tunedSeconds = best;
-                timing.tunedSpeedup = 1.0;
-            }
-            out.fast.push_back(timing);
-        }
-    }
-    return out;
-}
-
 // ---- The autotuner (--tune) ----------------------------------------------
 
 /** One (combo, tier, bucket) search outcome, for the report. */
@@ -430,34 +372,22 @@ struct TuneCaseResult
     blas::TuneSearchResult search;
 };
 
-template <typename TCD, typename TAB, typename TAcc>
+template <typename Types>
 TuneCaseResult
-tuneCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
-         blas::SimdTier tier, int reps, double budget_sec,
+tuneCase(blas::GemmCombo combo, std::size_t n, blas::SimdTier tier,
+         int reps, double budget_sec,
          const std::vector<int> &thread_candidates, std::uint64_t seed)
 {
-    Rng rng(seed);
-    Matrix<TAB> a(n, n), b(n, n);
-    Matrix<TCD> c(n, n);
-    fillRandom(a, rng);
-    fillRandom(b, rng);
-    fillRandom(c, rng);
-    const double alpha = 1.25, beta = 0.5;
+    using TCD = typename Types::TCD;
+    using TAB = typename Types::TAB;
+    const Operands<Types> p(n, n, n, seed);
 
     // The memcmp anchor: default blocks on the scalar tier. Every
     // candidate configuration must reproduce these bytes exactly —
     // the tuner refuses to persist a configuration it has not proven
     // bit-identical.
     Matrix<TCD> d_anchor(n, n), d_fast(n, n);
-    {
-        blas::FunctionalGemmOptions opts;
-        opts.blockM = blas::kDefaultBlockM;
-        opts.blockN = blas::kDefaultBlockN;
-        opts.blockK = blas::kDefaultBlockK;
-        opts.simd = blas::SimdTier::Scalar;
-        blas::fastReferenceGemm<TCD, TAB, TAcc>(
-            alpha, a, b, beta, c, d_anchor, round_each_step, opts);
-    }
+    fastGemm(p, d_anchor, defaultBlockOptions(blas::SimdTier::Scalar, 1));
 
     prof::TopdownCounters counters;
     prof::TopdownHints hints;
@@ -476,10 +406,8 @@ tuneCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
         prof::TopdownSample best;
         best.seconds = std::numeric_limits<double>::max();
         for (int r = 0; r < reps; ++r) {
-            const prof::TopdownSample sample = counters.measure([&] {
-                blas::fastReferenceGemm<TCD, TAB, TAcc>(
-                    alpha, a, b, beta, c, d_fast, round_each_step, opts);
-            });
+            const prof::TopdownSample sample =
+                counters.measure([&] { fastGemm(p, d_fast, opts); });
             if (sample.seconds < best.seconds)
                 best = sample;
         }
@@ -497,7 +425,7 @@ tuneCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
     };
 
     blas::TuneSearchSpace space;
-    space.accBytes = sizeof(TAcc);
+    space.accBytes = sizeof(typename Types::TAcc);
     space.budgetSec = budget_sec;
     space.threads = thread_candidates;
 
@@ -506,142 +434,6 @@ tuneCase(blas::GemmCombo combo, std::size_t n, bool round_each_step,
     out.tunedN = n;
     out.search = blas::tuneSearch(measure, space);
     return out;
-}
-
-/** tuneCase for the quantized combo: int8 operands and entry points,
- *  int32 accumulators sizing the search space's accBytes. */
-TuneCaseResult
-tuneCaseI8(blas::GemmCombo combo, std::size_t n, blas::SimdTier tier,
-           int reps, double budget_sec,
-           const std::vector<int> &thread_candidates, std::uint64_t seed)
-{
-    Rng rng(seed);
-    Matrix<std::int8_t> a(n, n), b(n, n), c(n, n);
-    fillRandomI8(a, rng);
-    fillRandomI8(b, rng);
-    fillRandomI8(c, rng);
-    const double alpha = 1.25, beta = 0.5;
-    const blas::QuantParams qp = perfQuantParams();
-
-    Matrix<std::int8_t> d_anchor(n, n), d_fast(n, n);
-    {
-        blas::FunctionalGemmOptions opts;
-        opts.blockM = blas::kDefaultBlockM;
-        opts.blockN = blas::kDefaultBlockN;
-        opts.blockK = blas::kDefaultBlockK;
-        opts.simd = blas::SimdTier::Scalar;
-        blas::fastQuantizedGemm(alpha, a, b, beta, c, d_anchor, qp, opts);
-    }
-
-    prof::TopdownCounters counters;
-    prof::TopdownHints hints;
-    hints.flops = 2.0 * static_cast<double>(n) * static_cast<double>(n) *
-                  static_cast<double>(n);
-    hints.bytes = static_cast<double>(n) * static_cast<double>(n) *
-                  static_cast<double>(4 * sizeof(std::int8_t));
-
-    const auto measure = [&](const blas::TunedConfig &config) {
-        blas::FunctionalGemmOptions opts;
-        opts.threads = config.threads;
-        opts.blockM = config.blockM;
-        opts.blockN = config.blockN;
-        opts.blockK = config.blockK;
-        opts.simd = tier;
-        prof::TopdownSample best;
-        best.seconds = std::numeric_limits<double>::max();
-        for (int r = 0; r < reps; ++r) {
-            const prof::TopdownSample sample = counters.measure([&] {
-                blas::fastQuantizedGemm(alpha, a, b, beta, c, d_fast, qp,
-                                        opts);
-            });
-            if (sample.seconds < best.seconds)
-                best = sample;
-        }
-        if (!bytesEqual(d_fast, d_anchor)) {
-            mc_fatal("candidate blocks diverged from the scalar anchor: ",
-                     blas::comboInfo(combo).name, " n=", n,
-                     " simd=", blas::simdTierName(tier),
-                     " bm=", config.blockM, " bn=", config.blockN,
-                     " bk=", config.blockK, " threads=", config.threads);
-        }
-        blas::TuneMeasurement m;
-        m.seconds = best.seconds;
-        m.bound = prof::classifySample(best, hints);
-        return m;
-    };
-
-    blas::TuneSearchSpace space;
-    space.accBytes = sizeof(std::int32_t);
-    space.budgetSec = budget_sec;
-    space.threads = thread_candidates;
-
-    TuneCaseResult out;
-    out.key = blas::TuneKey{combo, tier, blas::tuneBucket(n)};
-    out.tunedN = n;
-    out.search = blas::tuneSearch(measure, space);
-    return out;
-}
-
-TuneCaseResult
-tuneCombo(blas::GemmCombo combo, std::size_t n, blas::SimdTier tier,
-          int reps, double budget_sec,
-          const std::vector<int> &thread_candidates, std::uint64_t seed)
-{
-    switch (combo) {
-      case blas::GemmCombo::Dgemm:
-        return tuneCase<double, double, double>(
-            combo, n, false, tier, reps, budget_sec, thread_candidates,
-            seed);
-      case blas::GemmCombo::Sgemm:
-        return tuneCase<float, float, float>(
-            combo, n, false, tier, reps, budget_sec, thread_candidates,
-            seed);
-      case blas::GemmCombo::Hgemm:
-        return tuneCase<fp::Half, fp::Half, float>(
-            combo, n, true, tier, reps, budget_sec, thread_candidates,
-            seed);
-      case blas::GemmCombo::Hhs:
-        return tuneCase<fp::Half, fp::Half, float>(
-            combo, n, false, tier, reps, budget_sec, thread_candidates,
-            seed);
-      case blas::GemmCombo::Hss:
-        return tuneCase<float, fp::Half, float>(
-            combo, n, false, tier, reps, budget_sec, thread_candidates,
-            seed);
-      case blas::GemmCombo::I8gemm:
-        return tuneCaseI8(combo, n, tier, reps, budget_sec,
-                          thread_candidates, seed);
-    }
-    mc_panic("unreachable combo in mc_perf --tune");
-}
-
-CaseResult
-runCombo(blas::GemmCombo combo, std::size_t n,
-         const std::vector<blas::SimdTier> &tiers,
-         const std::vector<int> &threads, int reps, bool with_scalar,
-         std::uint64_t seed)
-{
-    switch (combo) {
-      case blas::GemmCombo::Dgemm:
-        return runCase<double, double, double>(
-            combo, n, false, tiers, threads, reps, with_scalar, seed);
-      case blas::GemmCombo::Sgemm:
-        return runCase<float, float, float>(
-            combo, n, false, tiers, threads, reps, with_scalar, seed);
-      case blas::GemmCombo::Hgemm:
-        return runCase<fp::Half, fp::Half, float>(
-            combo, n, true, tiers, threads, reps, with_scalar, seed);
-      case blas::GemmCombo::Hhs:
-        return runCase<fp::Half, fp::Half, float>(
-            combo, n, false, tiers, threads, reps, with_scalar, seed);
-      case blas::GemmCombo::Hss:
-        return runCase<float, fp::Half, float>(
-            combo, n, false, tiers, threads, reps, with_scalar, seed);
-      case blas::GemmCombo::I8gemm:
-        return runCaseI8(combo, n, tiers, threads, reps, with_scalar,
-                         seed);
-    }
-    mc_panic("unreachable combo in mc_perf");
 }
 
 std::vector<std::string>
@@ -656,6 +448,26 @@ splitCsv(const std::string &list)
     return out;
 }
 
+/** The comma-separated entries of @p list (the value of --@p flag),
+ *  each a positive integer; anything else is a usage error. */
+template <typename T>
+std::vector<T>
+parsePositiveList(const CliParser &cli, const std::string &flag,
+                  const std::string &list)
+{
+    std::vector<T> out;
+    for (const std::string &item : splitCsv(list)) {
+        T value = 0;
+        const char *end = item.data() + item.size();
+        const auto [ptr, ec] = std::from_chars(item.data(), end, value);
+        if (ec != std::errc() || ptr != end || value <= 0)
+            cli.usageError("--" + flag + ": '" + item +
+                           "' is not a positive integer");
+        out.push_back(value);
+    }
+    return out;
+}
+
 /** Geometric mean of @p ratios; 0 when empty. */
 double
 geomean(const std::vector<double> &ratios)
@@ -666,6 +478,39 @@ geomean(const std::vector<double> &ratios)
     for (double r : ratios)
         log_sum += std::log(r);
     return std::exp(log_sum / static_cast<double>(ratios.size()));
+}
+
+/** The CPU feature bits behind the tier ladder, for the reports. */
+JsonValue
+cpuFeaturesJson()
+{
+    const blas::CpuFeatures &cpu = blas::cpuFeatures();
+    JsonValue features = JsonValue::object();
+    features.set("sse2", cpu.sse2);
+    features.set("avx2", cpu.avx2);
+    features.set("avx512", cpu.avx512);
+    features.set("avx512vnni", cpu.avx512vnni);
+    features.set("neon", cpu.neon);
+    return features;
+}
+
+/** Publish @p report atomically at --out (nothing without --out).
+ *  Returns the process exit code: DataLoss when the commit fails. */
+int
+writeReport(const CliParser &cli, const JsonValue &report)
+{
+    const std::string out_path = cli.getString("out");
+    if (out_path.empty())
+        return exitCodeFor(ErrorCode::Ok);
+    AtomicFileWriter writer(out_path);
+    writer.stream() << report.serialize() << "\n";
+    const Status committed = writer.commit();
+    if (!committed.isOk()) {
+        std::fprintf(stderr, "[mc_perf] --out commit failed: %s\n",
+                     committed.toString().c_str());
+        return exitCodeFor(ErrorCode::DataLoss);
+    }
+    return exitCodeFor(ErrorCode::Ok);
 }
 
 // ---- The packed-operand reuse sweep (--pack-bench) -----------------------
@@ -727,53 +572,42 @@ void
 packTimeRow(PackRow &row, int reps, int inner, const ColdFn &run_cold,
             const WarmFn &run_warm)
 {
+    // Best per-call seconds over the reps; each rep's lands in @p per_rep.
+    const auto time_bursts = [&](const auto &run,
+                                 std::vector<double> &per_rep) {
+        double best = std::numeric_limits<double>::max();
+        for (int r = 0; r < reps; ++r) {
+            const double t0 = nowSeconds();
+            for (int i = 0; i < inner; ++i)
+                run();
+            per_rep.push_back((nowSeconds() - t0) / inner);
+            best = std::min(best, per_rep.back());
+        }
+        return best;
+    };
+
     blas::PackCache::setEnabled(false);
-    double cold = std::numeric_limits<double>::max();
-    for (int r = 0; r < reps; ++r) {
-        const double t0 = nowSeconds();
-        for (int i = 0; i < inner; ++i)
-            run_cold();
-        const double t = (nowSeconds() - t0) / inner;
-        row.coldRepSec.push_back(t);
-        cold = std::min(cold, t);
-    }
+    row.coldSec = time_bursts(run_cold, row.coldRepSec);
 
     blas::PackCache::setEnabled(true);
     blas::PackCache::instance().clear();
     run_warm(); // prime: the misses land here, the timed calls hit
     const blas::PackCacheStats before = blas::PackCache::globalStats();
-    double warm = std::numeric_limits<double>::max();
-    for (int r = 0; r < reps; ++r) {
-        const double t0 = nowSeconds();
-        for (int i = 0; i < inner; ++i)
-            run_warm();
-        const double t = (nowSeconds() - t0) / inner;
-        row.warmRepSec.push_back(t);
-        warm = std::min(warm, t);
-    }
+    row.warmSec = time_bursts(run_warm, row.warmRepSec);
     const blas::PackCacheStats after = blas::PackCache::globalStats();
 
-    row.coldSec = cold;
-    row.warmSec = warm;
-    row.speedup = warm > 0.0 ? cold / warm : 0.0;
+    row.speedup = row.warmSec > 0.0 ? row.coldSec / row.warmSec : 0.0;
     row.packHits = after.hits - before.hits;
     row.packMisses = after.misses - before.misses;
     row.packBytes = after.residentBytes;
 }
 
-template <typename TCD, typename TAB, typename TAcc>
+template <typename Types>
 PackRow
 packBenchCase(blas::GemmCombo combo, const PackShape &shape,
-              bool round_each_step, bool decode_shaped, int reps,
-              std::uint64_t seed)
+              bool decode_shaped, int reps, std::uint64_t seed)
 {
-    Rng rng(seed);
-    Matrix<TAB> a(shape.m, shape.k), b(shape.k, shape.n);
-    Matrix<TCD> c(shape.m, shape.n);
-    fillRandom(a, rng);
-    fillRandom(b, rng);
-    fillRandom(c, rng);
-    const double alpha = 1.25, beta = 0.5;
+    const Operands<Types> p(shape.m, shape.n, shape.k, seed);
     blas::FunctionalGemmOptions opts;
     opts.threads = 1;
 
@@ -782,18 +616,11 @@ packBenchCase(blas::GemmCombo combo, const PackShape &shape,
     row.shape = shape;
     row.decodeShaped = decode_shaped;
 
-    Matrix<TCD> d_cold(shape.m, shape.n), d_warm(shape.m, shape.n);
-    const int inner = packBenchInner(shape, 1);
-    packTimeRow(
-        row, reps, inner,
-        [&] {
-            blas::fastReferenceGemm<TCD, TAB, TAcc>(
-                alpha, a, b, beta, c, d_cold, round_each_step, opts);
-        },
-        [&] {
-            blas::fastReferenceGemm<TCD, TAB, TAcc>(
-                alpha, a, b, beta, c, d_warm, round_each_step, opts);
-        });
+    Matrix<typename Types::TCD> d_cold(shape.m, shape.n),
+        d_warm(shape.m, shape.n);
+    packTimeRow(row, reps, packBenchInner(shape, 1),
+                [&] { fastGemm(p, d_cold, opts); },
+                [&] { fastGemm(p, d_warm, opts); });
     if (!bytesEqual(d_cold, d_warm)) {
         mc_fatal("pack cache changed the result bytes: ",
                  blas::comboInfo(combo).name, " m=", shape.m,
@@ -802,86 +629,9 @@ packBenchCase(blas::GemmCombo combo, const PackShape &shape,
     return row;
 }
 
-/** The int8 rows, batched through fastBatchedQuantizedGemm (batch = 1
- *  for the plain shapes; the attention stages carry their per-head
- *  batch, every entry's operands distinct). */
-PackRow
-packBenchCaseI8(const PackShape &shape, std::size_t batch,
-                const char *stage, bool decode_shaped, int reps,
-                std::uint64_t seed)
-{
-    Rng rng(seed);
-    const std::size_t m = shape.m, n = shape.n, k = shape.k;
-    std::vector<std::int8_t> a(batch * m * k), b(batch * k * n),
-        c(batch * m * n), d_cold(batch * m * n), d_warm(batch * m * n);
-    const auto fill = [&](std::vector<std::int8_t> &v) {
-        for (std::int8_t &x : v)
-            x = static_cast<std::int8_t>(
-                std::lround(rng.uniform(-128.0, 127.0)));
-    };
-    fill(a);
-    fill(b);
-    fill(c);
-    const double alpha = 1.25, beta = 0.5;
-    const blas::QuantParams qp = perfQuantParams();
-    blas::FunctionalGemmOptions opts;
-    opts.threads = 1;
-
-    PackRow row;
-    row.combo = blas::GemmCombo::I8gemm;
-    if (stage)
-        row.stage = stage;
-    row.shape = shape;
-    row.batch = batch;
-    row.decodeShaped = decode_shaped;
-
-    const auto run = [&](std::vector<std::int8_t> &d) {
-        blas::fastBatchedQuantizedGemm(batch, alpha, a.data(), m * k,
-                                       b.data(), k * n, beta, c.data(),
-                                       m * n, d.data(), m * n, m, n, k,
-                                       qp, opts);
-    };
-    const int inner = packBenchInner(shape, batch);
-    packTimeRow(row, reps, inner, [&] { run(d_cold); },
-                [&] { run(d_warm); });
-    if (std::memcmp(d_cold.data(), d_warm.data(), d_cold.size()) != 0) {
-        mc_fatal("pack cache changed the result bytes: i8gemm",
-                 stage ? std::string(" [") + stage + "]" : std::string(),
-                 " m=", m, " n=", n, " k=", k, " batch=", batch);
-    }
-    return row;
-}
-
-PackRow
-packBenchCombo(blas::GemmCombo combo, const PackShape &shape,
-               bool decode_shaped, int reps, std::uint64_t seed)
-{
-    switch (combo) {
-      case blas::GemmCombo::Dgemm:
-        return packBenchCase<double, double, double>(
-            combo, shape, false, decode_shaped, reps, seed);
-      case blas::GemmCombo::Sgemm:
-        return packBenchCase<float, float, float>(
-            combo, shape, false, decode_shaped, reps, seed);
-      case blas::GemmCombo::Hgemm:
-        return packBenchCase<fp::Half, fp::Half, float>(
-            combo, shape, true, decode_shaped, reps, seed);
-      case blas::GemmCombo::Hhs:
-        return packBenchCase<fp::Half, fp::Half, float>(
-            combo, shape, false, decode_shaped, reps, seed);
-      case blas::GemmCombo::Hss:
-        return packBenchCase<float, fp::Half, float>(
-            combo, shape, false, decode_shaped, reps, seed);
-      case blas::GemmCombo::I8gemm:
-        return packBenchCaseI8(shape, 1, nullptr, decode_shaped, reps,
-                               seed);
-    }
-    mc_panic("unreachable combo in mc_perf --pack-bench");
-}
-
 /** "m,n,k" triples separated by ';'. */
 std::vector<PackShape>
-parseShapeList(const std::string &text)
+parseShapeList(const CliParser &cli, const std::string &text)
 {
     std::vector<PackShape> shapes;
     std::stringstream ss(text);
@@ -889,18 +639,12 @@ parseShapeList(const std::string &text)
     while (std::getline(ss, triple, ';')) {
         if (triple.empty())
             continue;
-        const std::vector<std::string> dims = splitCsv(triple);
+        const std::vector<std::size_t> dims =
+            parsePositiveList<std::size_t>(cli, "shape", triple);
         if (dims.size() != 3)
-            mc_fatal("bad --shape entry '", triple,
-                     "': expected m,n,k");
-        PackShape s;
-        s.m = static_cast<std::size_t>(std::stoull(dims[0]));
-        s.n = static_cast<std::size_t>(std::stoull(dims[1]));
-        s.k = static_cast<std::size_t>(std::stoull(dims[2]));
-        if (s.m == 0 || s.n == 0 || s.k == 0)
-            mc_fatal("bad --shape entry '", triple,
-                     "': dimensions must be positive");
-        shapes.push_back(s);
+            cli.usageError("--shape: '" + triple +
+                           "' is not an m,n,k triple");
+        shapes.push_back({dims[0], dims[1], dims[2]});
     }
     return shapes;
 }
@@ -933,15 +677,60 @@ constexpr QtStage kQtChain[] = {
     {"mlp_down", 128, 768, 4 * 768, 1},
 };
 
+/** One int8 qt-chain stage through fastBatchedQuantizedGemm: the
+ *  attention stages carry their per-head batch, every entry's
+ *  operands distinct (stacked row-wise in one matrix per operand). */
+PackRow
+packBenchQtStage(const QtStage &st, int reps, std::uint64_t seed)
+{
+    const std::size_t m = st.m, n = st.n, k = st.k, batch = st.batch;
+    Rng rng(seed);
+    Matrix<std::int8_t> a(batch * m, k), b(batch * k, n), c(batch * m, n);
+    fillRandom(a, rng);
+    fillRandom(b, rng);
+    fillRandom(c, rng);
+    const blas::QuantParams qp = perfQuantParams();
+    blas::FunctionalGemmOptions opts;
+    opts.threads = 1;
+
+    PackRow row;
+    row.combo = blas::GemmCombo::I8gemm;
+    row.stage = st.name;
+    row.shape = {m, n, k};
+    row.batch = batch;
+
+    const auto run = [&](Matrix<std::int8_t> &d) {
+        blas::fastBatchedQuantizedGemm(batch, kAlpha, a.data(), m * k,
+                                       b.data(), k * n, kBeta, c.data(),
+                                       m * n, d.data(), m * n, m, n, k,
+                                       qp, opts);
+    };
+    Matrix<std::int8_t> d_cold(batch * m, n), d_warm(batch * m, n);
+    packTimeRow(row, reps, packBenchInner(row.shape, batch),
+                [&] { run(d_cold); }, [&] { run(d_warm); });
+    if (!bytesEqual(d_cold, d_warm)) {
+        mc_fatal("pack cache changed the result bytes: i8gemm [",
+                 st.name, "] m=", m, " n=", n, " k=", k,
+                 " batch=", batch);
+    }
+    return row;
+}
+
 int
 runPackBench(const CliParser &cli,
              const std::vector<blas::GemmCombo> &combos)
 {
     const int reps = static_cast<int>(cli.getInt("reps"));
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed"));
-    const bool decode = cli.getBool("decode");
     const std::vector<PackShape> shapes =
-        parseShapeList(cli.getString("shape"));
+        parseShapeList(cli, cli.getString("shape"));
+    const auto bench = [&](blas::GemmCombo combo, const PackShape &s,
+                           bool decode_shaped) {
+        return blas::visitCombo(combo, [&](auto types) {
+            return packBenchCase<decltype(types)>(combo, s, decode_shaped,
+                                                  reps, seed);
+        });
+    };
 
     std::vector<PackRow> rows;
     // Explicit --shape rows run under the --combos selection.
@@ -950,28 +739,24 @@ runPackBench(const CliParser &cli,
             std::fprintf(stderr,
                          "[mc_perf] pack %s m=%zu n=%zu k=%zu...\n",
                          blas::comboInfo(combo).name, s.m, s.n, s.k);
-            rows.push_back(
-                packBenchCombo(combo, s, false, reps, seed));
+            rows.push_back(bench(combo, s, false));
         }
     }
-    if (decode) {
+    if (cli.getBool("decode")) {
         for (blas::GemmCombo combo : kDecodeCombos) {
             for (std::size_t nk : kDecodeNk) {
                 for (std::size_t m : kDecodeM) {
-                    const PackShape s{m, nk, nk};
                     std::fprintf(stderr,
                                  "[mc_perf] pack decode %s m=%zu "
                                  "nk=%zu...\n",
                                  blas::comboInfo(combo).name, m, nk);
-                    rows.push_back(packBenchCombo(combo, s, m <= 16,
-                                                  reps, seed));
+                    rows.push_back(bench(combo, {m, nk, nk}, m <= 16));
                 }
             }
         }
         for (const QtStage &st : kQtChain) {
             std::fprintf(stderr, "[mc_perf] pack qt %s...\n", st.name);
-            rows.push_back(packBenchCaseI8({st.m, st.n, st.k}, st.batch,
-                                           st.name, false, reps, seed));
+            rows.push_back(packBenchQtStage(st, reps, seed));
         }
     }
     if (rows.empty()) {
@@ -1008,95 +793,58 @@ runPackBench(const CliParser &cli,
     // MLP GEMMs dominate wall clock, not the tiny per-head attention
     // multiplies), geomeaned across the replays.
     std::vector<double> qt_ratios;
-    {
-        const std::vector<const PackRow *> qt = [&] {
-            std::vector<const PackRow *> v;
-            for (const PackRow &r : rows)
-                if (!r.stage.empty())
-                    v.push_back(&r);
-            return v;
-        }();
-        if (!qt.empty()) {
-            for (std::size_t rep = 0;; ++rep) {
-                double cold_sum = 0.0, warm_sum = 0.0;
-                bool have_rep = true;
-                for (const PackRow *r : qt) {
-                    if (rep >= r->coldRepSec.size() ||
-                        rep >= r->warmRepSec.size()) {
-                        have_rep = false;
-                        break;
-                    }
-                    cold_sum += r->coldRepSec[rep];
-                    warm_sum += r->warmRepSec[rep];
-                }
-                if (!have_rep)
-                    break;
-                if (warm_sum > 0.0)
-                    qt_ratios.push_back(cold_sum / warm_sum);
+    for (int rep = 0; rep < reps; ++rep) {
+        double cold_sum = 0.0, warm_sum = 0.0;
+        for (const PackRow &r : rows) {
+            if (!r.stage.empty()) {
+                cold_sum += r.coldRepSec[rep];
+                warm_sum += r.warmRepSec[rep];
             }
         }
+        if (warm_sum > 0.0)
+            qt_ratios.push_back(cold_sum / warm_sum);
     }
     const double qt_geo = geomean(qt_ratios);
     if (!qt_ratios.empty())
         std::printf("geomean(qt chain reps) warm_vs_cold=%5.2fx\n",
                     qt_geo);
 
-    const std::string out_path = cli.getString("out");
-    if (!out_path.empty()) {
-        const blas::CpuFeatures &cpu = blas::cpuFeatures();
-        JsonValue report = JsonValue::object();
-        report.set("bench", "mc_perf --pack-bench");
-        report.set("description",
-                   "packed-operand reuse: per-call wall-clock with the "
-                   "pack cache disabled (cold: every call re-stages "
-                   "through the scratch arena) vs primed (warm: staged "
-                   "panels served by content fingerprint). Outputs are "
-                   "memcmp-identical in both modes.");
-        report.set("best_tier",
-                   blas::simdTierName(blas::bestSimdTier()));
-        JsonValue features = JsonValue::object();
-        features.set("sse2", cpu.sse2);
-        features.set("avx2", cpu.avx2);
-        features.set("avx512", cpu.avx512);
-        features.set("avx512vnni", cpu.avx512vnni);
-        features.set("neon", cpu.neon);
-        report.set("cpu_features", std::move(features));
-        JsonValue jrows = JsonValue::array();
-        for (const PackRow &r : rows) {
-            JsonValue jr = JsonValue::object();
-            jr.set("combo", blas::comboInfo(r.combo).name);
-            if (!r.stage.empty())
-                jr.set("stage", r.stage);
-            jr.set("m", static_cast<std::int64_t>(r.shape.m));
-            jr.set("n", static_cast<std::int64_t>(r.shape.n));
-            jr.set("k", static_cast<std::int64_t>(r.shape.k));
-            jr.set("batch", static_cast<std::int64_t>(r.batch));
-            jr.set("decode_shaped", r.decodeShaped);
-            jr.set("cold_sec", r.coldSec);
-            jr.set("warm_sec", r.warmSec);
-            jr.set("speedup_warm_vs_cold", r.speedup);
-            jr.set("pack_hits",
-                   static_cast<std::int64_t>(r.packHits));
-            jr.set("pack_misses",
-                   static_cast<std::int64_t>(r.packMisses));
-            jr.set("pack_bytes",
-                   static_cast<std::int64_t>(r.packBytes));
-            jrows.append(std::move(jr));
-        }
-        report.set("rows", std::move(jrows));
-        if (!decode_ratios.empty())
-            report.set("geomean_decode_warm_vs_cold", decode_geo);
-        if (!qt_ratios.empty())
-            report.set("geomean_qt_chain_warm_vs_cold", qt_geo);
-        AtomicFileWriter writer(out_path);
-        writer.stream() << report.serialize() << "\n";
-        const Status committed = writer.commit();
-        if (!committed.isOk()) {
-            std::fprintf(stderr, "[mc_perf] --out commit failed: %s\n",
-                         committed.toString().c_str());
-            return exitCodeFor(ErrorCode::DataLoss);
-        }
+    JsonValue report = JsonValue::object();
+    report.set("bench", "mc_perf --pack-bench");
+    report.set("description",
+               "packed-operand reuse: per-call wall-clock with the "
+               "pack cache disabled (cold: every call re-stages "
+               "through the scratch arena) vs primed (warm: staged "
+               "panels served by content fingerprint). Outputs are "
+               "memcmp-identical in both modes.");
+    report.set("best_tier", blas::simdTierName(blas::bestSimdTier()));
+    report.set("cpu_features", cpuFeaturesJson());
+    JsonValue jrows = JsonValue::array();
+    for (const PackRow &r : rows) {
+        JsonValue jr = JsonValue::object();
+        jr.set("combo", blas::comboInfo(r.combo).name);
+        if (!r.stage.empty())
+            jr.set("stage", r.stage);
+        jr.set("m", static_cast<std::int64_t>(r.shape.m));
+        jr.set("n", static_cast<std::int64_t>(r.shape.n));
+        jr.set("k", static_cast<std::int64_t>(r.shape.k));
+        jr.set("batch", static_cast<std::int64_t>(r.batch));
+        jr.set("decode_shaped", r.decodeShaped);
+        jr.set("cold_sec", r.coldSec);
+        jr.set("warm_sec", r.warmSec);
+        jr.set("speedup_warm_vs_cold", r.speedup);
+        jr.set("pack_hits", static_cast<std::int64_t>(r.packHits));
+        jr.set("pack_misses", static_cast<std::int64_t>(r.packMisses));
+        jr.set("pack_bytes", static_cast<std::int64_t>(r.packBytes));
+        jrows.append(std::move(jr));
     }
+    report.set("rows", std::move(jrows));
+    if (!decode_ratios.empty())
+        report.set("geomean_decode_warm_vs_cold", decode_geo);
+    if (!qt_ratios.empty())
+        report.set("geomean_qt_chain_warm_vs_cold", qt_geo);
+    if (const int rc = writeReport(cli, report); rc != 0)
+        return rc;
 
     if (cli.getBool("check")) {
         const double min_speedup = cli.getDouble("min-speedup");
@@ -1189,12 +937,10 @@ main(int argc, char **argv)
         !cli.getString("shape").empty())
         return runPackBench(cli, combos);
 
-    std::vector<std::size_t> sizes;
-    for (const std::string &s : splitCsv(cli.getString("sizes")))
-        sizes.push_back(static_cast<std::size_t>(std::stoull(s)));
-    std::vector<int> threads;
-    for (const std::string &s : splitCsv(cli.getString("threads")))
-        threads.push_back(std::stoi(s));
+    const std::vector<std::size_t> sizes =
+        parsePositiveList<std::size_t>(cli, "sizes", cli.getString("sizes"));
+    const std::vector<int> threads =
+        parsePositiveList<int>(cli, "threads", cli.getString("threads"));
 
     // Resolve the tier list. The scalar tier always runs (and runs
     // first): it is the memcmp anchor and the speedup baseline.
@@ -1212,7 +958,7 @@ main(int argc, char **argv)
             blas::SimdTier tier;
             if (!blas::parseSimdTier(name, &tier) ||
                 tier == blas::SimdTier::Auto)
-                mc_fatal("bad --simd tier '", name, "'");
+                cli.usageError("--simd: unknown tier '" + name + "'");
             if (!blas::simdTierAvailable(tier)) {
                 unavailable_requested.push_back(name);
                 std::fprintf(stderr,
@@ -1284,9 +1030,12 @@ main(int argc, char **argv)
                                  blas::comboInfo(combo).name,
                                  blas::simdTierName(tier), n, key.nBucket,
                                  prof::topdownBackendName());
-                    TuneCaseResult result = tuneCombo(
-                        combo, n, tier, tune_reps, budget_sec,
-                        thread_candidates, seed);
+                    TuneCaseResult result =
+                        blas::visitCombo(combo, [&](auto types) {
+                            return tuneCase<decltype(types)>(
+                                combo, n, tier, tune_reps, budget_sec,
+                                thread_candidates, seed);
+                        });
                     const blas::TuneSearchResult &s = result.search;
                     std::printf(
                         "tune %-6s simd=%-7s bucket=%-5zu "
@@ -1325,46 +1074,35 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(artifact.fingerprint),
                     prof::topdownBackendName());
 
-        const std::string out_path = cli.getString("out");
-        if (!out_path.empty()) {
-            JsonValue report = JsonValue::object();
-            report.set("bench", "mc_perf --tune");
-            report.set("host_threads",
-                       static_cast<std::int64_t>(
-                           exec::ThreadPool::hardwareThreads()));
-            report.set("profiling_backend", prof::topdownBackendName());
-            report.set("artifact", tune_out);
-            JsonValue rows = JsonValue::array();
-            for (const TuneCaseResult &t : tuned_cases) {
-                JsonValue row = JsonValue::object();
-                row.set("combo", blas::comboInfo(t.key.combo).name);
-                row.set("simd", blas::simdTierName(t.key.tier));
-                row.set("n_bucket",
-                        static_cast<std::int64_t>(t.key.nBucket));
-                row.set("tuned_n", static_cast<std::int64_t>(t.tunedN));
-                row.set("block_m", t.search.best.blockM);
-                row.set("block_n", t.search.best.blockN);
-                row.set("block_k", t.search.best.blockK);
-                row.set("threads", t.search.best.threads);
-                row.set("speedup_vs_default", t.search.speedup);
-                row.set("bound",
-                        prof::topdownClassName(t.search.bestBound));
-                row.set("measured", t.search.measured);
-                row.set("pruned", t.search.pruned);
-                row.set("budget_exhausted", t.search.budgetExhausted);
-                rows.append(std::move(row));
-            }
-            report.set("searches", std::move(rows));
-            AtomicFileWriter writer(out_path);
-            writer.stream() << report.serialize() << "\n";
-            const Status committed = writer.commit();
-            if (!committed.isOk()) {
-                std::fprintf(stderr, "[mc_perf] --out commit failed: "
-                             "%s\n", committed.toString().c_str());
-                return exitCodeFor(ErrorCode::DataLoss);
-            }
+        JsonValue report = JsonValue::object();
+        report.set("bench", "mc_perf --tune");
+        report.set("host_threads",
+                   static_cast<std::int64_t>(
+                       exec::ThreadPool::hardwareThreads()));
+        report.set("profiling_backend", prof::topdownBackendName());
+        report.set("artifact", tune_out);
+        JsonValue rows = JsonValue::array();
+        for (const TuneCaseResult &t : tuned_cases) {
+            JsonValue row = JsonValue::object();
+            row.set("combo", blas::comboInfo(t.key.combo).name);
+            row.set("simd", blas::simdTierName(t.key.tier));
+            row.set("n_bucket",
+                    static_cast<std::int64_t>(t.key.nBucket));
+            row.set("tuned_n", static_cast<std::int64_t>(t.tunedN));
+            row.set("block_m", t.search.best.blockM);
+            row.set("block_n", t.search.best.blockN);
+            row.set("block_k", t.search.best.blockK);
+            row.set("threads", t.search.best.threads);
+            row.set("speedup_vs_default", t.search.speedup);
+            row.set("bound",
+                    prof::topdownClassName(t.search.bestBound));
+            row.set("measured", t.search.measured);
+            row.set("pruned", t.search.pruned);
+            row.set("budget_exhausted", t.search.budgetExhausted);
+            rows.append(std::move(row));
         }
-        return exitCodeFor(ErrorCode::Ok);
+        report.set("searches", std::move(rows));
+        return writeReport(cli, report);
     }
 
     std::vector<CaseResult> results;
@@ -1374,12 +1112,13 @@ main(int argc, char **argv)
             std::fprintf(stderr, "[mc_perf] %s n=%zu%s...\n",
                          blas::comboInfo(combo).name, n,
                          with_scalar ? "" : " (no legacy baseline)");
-            results.push_back(runCombo(combo, n, tiers, threads, reps,
-                                       with_scalar, seed));
+            results.push_back(blas::visitCombo(combo, [&](auto types) {
+                return runCase<decltype(types)>(combo, n, tiers, threads,
+                                                reps, with_scalar, seed);
+            }));
         }
     }
 
-    const blas::CpuFeatures &cpu = blas::cpuFeatures();
     JsonValue report = JsonValue::object();
     report.set("bench", "mc_perf");
     report.set("description",
@@ -1388,13 +1127,7 @@ main(int argc, char **argv)
                "tier (bit-identical results across all of them)");
     report.set("host_threads",
                static_cast<std::int64_t>(exec::ThreadPool::hardwareThreads()));
-    JsonValue features = JsonValue::object();
-    features.set("sse2", cpu.sse2);
-    features.set("avx2", cpu.avx2);
-    features.set("avx512", cpu.avx512);
-    features.set("avx512vnni", cpu.avx512vnni);
-    features.set("neon", cpu.neon);
-    report.set("cpu_features", std::move(features));
+    report.set("cpu_features", cpuFeaturesJson());
     JsonValue tiers_json = JsonValue::array();
     for (blas::SimdTier tier : tiers)
         tiers_json.append(blas::simdTierName(tier));
@@ -1536,17 +1269,8 @@ main(int argc, char **argv)
                    std::move(tuned_geo));
     }
 
-    const std::string out_path = cli.getString("out");
-    if (!out_path.empty()) {
-        AtomicFileWriter writer(out_path);
-        writer.stream() << report.serialize() << "\n";
-        const Status committed = writer.commit();
-        if (!committed.isOk()) {
-            std::fprintf(stderr, "[mc_perf] --out commit failed: %s\n",
-                         committed.toString().c_str());
-            return exitCodeFor(ErrorCode::DataLoss);
-        }
-    }
+    if (const int rc = writeReport(cli, report); rc != 0)
+        return rc;
 
     if (cli.getBool("check") && !check_ok) {
         std::fprintf(stderr,
