@@ -1,9 +1,11 @@
 /**
  * @file
- * AVX2 tier: 8 f32 / 4 f64 lanes. Compiled -mavx2 with
- * -ffp-contract=off and *without* -mfma (see src/blas/CMakeLists.txt):
- * a contracted mul-add would skip the product rounding and break the
- * bit-exactness contract of simd_vec_kernels.hh.
+ * AVX2 tier: 8 f32 / 4 f64 lanes, plus the F16C converts for the f16
+ * round trip (the rung requires both features). Compiled -mavx2
+ * -mf16c with -ffp-contract=off and *without* -mfma (see
+ * src/blas/CMakeLists.txt): a contracted mul-add would skip the
+ * product rounding and break the bit-exactness contract of
+ * simd_vec_kernels.hh.
  */
 
 #if defined(MC_SIMD_HAVE_X86)
@@ -59,6 +61,17 @@ struct Avx2Ops
     static VF cvtI2F(VI v) { return _mm256_cvtepi32_ps(v); }
     static VI castF2I(VF v) { return _mm256_castps_si256(v); }
     static VF castI2F(VI v) { return _mm256_castsi256_ps(v); }
+
+    // F16C: vcvtps2ph with the RNE immediate matches
+    // Half::fromFloatBits on every f32 input, NaN payloads included;
+    // vcvtph2ps only differs from the software widen by quieting
+    // signalling NaNs, which the narrow never emits.
+    static VF
+    roundTripHalf(VF v)
+    {
+        return _mm256_cvtph_ps(_mm256_cvtps_ph(
+            v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+    }
 
     static VI
     loadU16(const std::uint16_t *p)

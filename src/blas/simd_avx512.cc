@@ -1,9 +1,10 @@
 /**
  * @file
- * AVX-512 tier: 16 f32 / 8 f64 lanes, mask-register blends. Compiled
- * -mavx512f/bw/vl/dq with -ffp-contract=off and no -mfma (see
- * src/blas/CMakeLists.txt), keeping mul and add as separate roundings
- * — the bit-exactness contract of simd_vec_kernels.hh.
+ * AVX-512 tier: 16 f32 / 8 f64 lanes, mask-register blends, and the
+ * hardware f16 round trip. Compiled -mavx512f/bw/vl/dq with
+ * -ffp-contract=off and no -mfma (see src/blas/CMakeLists.txt),
+ * keeping mul and add as separate roundings — the bit-exactness
+ * contract of simd_vec_kernels.hh.
  */
 
 #if defined(MC_SIMD_HAVE_X86)
@@ -59,6 +60,17 @@ struct Avx512Ops
     static VF cvtI2F(VI v) { return _mm512_cvtepi32_ps(v); }
     static VI castF2I(VF v) { return _mm512_castps_si512(v); }
     static VF castI2F(VI v) { return _mm512_castsi512_ps(v); }
+
+    // The AVX512F forms of the F16C converts. vcvtps2ph with the RNE
+    // immediate matches Half::fromFloatBits on every f32 input, NaN
+    // payloads included; vcvtph2ps only differs from the software
+    // widen by quieting signalling NaNs, which the narrow never emits.
+    static VF
+    roundTripHalf(VF v)
+    {
+        return _mm512_cvtph_ps(_mm512_cvtps_ph(
+            v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+    }
 
     static VI
     loadU16(const std::uint16_t *p)

@@ -41,6 +41,7 @@ probeCpu()
     // correctly reports false.
     f.sse2 = __builtin_cpu_supports("sse2");
     f.avx2 = __builtin_cpu_supports("avx2");
+    f.f16c = __builtin_cpu_supports("f16c");
     f.avx512 = __builtin_cpu_supports("avx512f") &&
                __builtin_cpu_supports("avx512bw") &&
                __builtin_cpu_supports("avx512vl") &&
@@ -103,7 +104,9 @@ simdTierAvailable(SimdTier tier)
       case SimdTier::Auto: return false;
       case SimdTier::Scalar: return true;
       case SimdTier::Sse2: return f.sse2;
-      case SimdTier::Avx2: return f.avx2;
+      // The avx2 kernels use the F16C converts; a host without them
+      // clamps down to sse2 like any other missing feature.
+      case SimdTier::Avx2: return f.avx2 && f.f16c;
       case SimdTier::Avx512: return f.avx512;
       case SimdTier::Neon: return f.neon;
     }

@@ -40,6 +40,9 @@ struct CpuFeatures
 {
     bool sse2 = false;
     bool avx2 = false;
+    /** F16C (vcvtps2ph/vcvtph2ps), probed on its own: separate from
+     *  AVX2 in CPUID, and the avx2 rung needs both. */
+    bool f16c = false;
     /** AVX-512 F+BW+VL+DQ (the Skylake-server baseline). */
     bool avx512 = false;
     /** AVX512-VNNI (vpdpbusd); refines the Avx512 tier's int8 dot

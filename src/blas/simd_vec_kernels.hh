@@ -15,7 +15,16 @@
  *    the scalar loop — PROVIDED mul and add stay separate. The TU's
  *    -ffp-contract=off (and the absence of -mfma) pins that; a fused
  *    mul-add would skip the product rounding and change bits.
- *  - The f32->f16 narrow is integer RNE: rebias the exponent by
+ *  - The round_each_step chain's f16 round trip is a per-Ops
+ *    primitive (roundTripHalf below). The avx2 and avx512 Ops supply
+ *    the hardware converts: vcvtps2ph with the RNE immediate equals
+ *    Half::fromFloatBits on all 2^32 f32 inputs (NaN payload rule
+ *    included), and vcvtph2ps differs from the software widen only by
+ *    quieting the signalling-NaN halves, which the narrow never emits.
+ *    The sse2 and neon Ops leave it to the integer code below. The
+ *    batch widen used for operand packing always stays on the integer
+ *    code: packing sees caller bits, signalling NaNs included.
+ *  - The integer f32->f16 narrow is RNE: rebias the exponent by
  *    subtracting 0x38000000, then add 0xfff plus the kept lsb so the
  *    carry implements round-to-nearest-even exactly (round up iff
  *    round_bit && (sticky || kept&1)), clamp the overflow to infinity,
@@ -24,10 +33,10 @@
  *    it is exact). NaNs keep the software payload rule
  *    (quiet bit | top 10 fraction bits). tests/fp/simd_convert_test.cc
  *    checks all of this exhaustively against fp::Half.
- *  - The f16->f32 widen rebiases normals, maps exp==31 onto the f32
- *    inf/NaN pattern, and renormalizes subnormals as frac * 2^-24
- *    (again an exact multiply). bf16 is a 16-bit shift both ways, with
- *    the software NaN-quieting rule on the narrow.
+ *  - The integer f16->f32 widen rebiases normals, maps exp==31 onto
+ *    the f32 inf/NaN pattern, and renormalizes subnormals as
+ *    frac * 2^-24 (again an exact multiply). bf16 is a 16-bit shift
+ *    both ways, with the software NaN-quieting rule on the narrow.
  *
  * The subnormal paths use the vector float<->int converts, which
  * follow the default MXCSR/FPCR rounding mode (round to nearest even)
@@ -294,24 +303,65 @@ struct VecKernels
         axpyImplF64<true>(arow, bpanel, ldb, nk, accs, nj);
     }
 
-    /** The round_each_step HGEMM chain: the f16 round-trip stays in
-     *  32-bit lanes, so one narrow+widen per mul-add, no packing. */
+    /** One f16 round trip per lane, f32(f16(acc)) with Half's RNE:
+     *  the tier's own Ops::roundTripHalf when it has one (the hardware
+     *  converts of avx2/avx512), else the integer emulation above. */
+    static VF
+    roundTripHalf(VF acc)
+    {
+        if constexpr (requires { Ops::roundTripHalf(acc); })
+            return Ops::roundTripHalf(acc);
+        else
+            return Ops::castI2F(
+                widenLanesHalf(narrowLanesHalf(Ops::castF2I(acc))));
+    }
+
+    /** N independent round_each_step chains, one per vector of
+     *  accs[0, N*WF): loaded once, fed the whole k-block, stored once.
+     *  The round trip's latency sits on each chain's critical path, so
+     *  the chains are what keep the converts (or the integer
+     *  emulation) busy. */
+    template <std::size_t N>
+    static void
+    roundHalfChains(const float *arow, const float *bpanel,
+                    std::size_t ldb, std::size_t nk, float *accs)
+    {
+        VF acc[N];
+        for (std::size_t v = 0; v < N; ++v)
+            acc[v] = Ops::loadF(accs + v * WF);
+        for (std::size_t kk = 0; kk < nk; ++kk, bpanel += ldb) {
+            const VF av = Ops::set1F(arow[kk]);
+            for (std::size_t v = 0; v < N; ++v)
+                acc[v] = roundTripHalf(Ops::addF(
+                    acc[v], Ops::mulF(av, Ops::loadF(bpanel + v * WF))));
+        }
+        for (std::size_t v = 0; v < N; ++v)
+            Ops::storeF(accs + v * WF, acc[v]);
+    }
+
+    /** The round_each_step HGEMM chain: the f16 round trip stays in
+     *  32-bit lanes, so one narrow+widen per mul-add, no packing. A
+     *  default 128-column panel runs as groups of 8 chains; the rest
+     *  falls to 4-, 2- and 1-chain groups, then scalar columns. */
     static void
     axpyRoundHalfF32(const float *arow, const float *bpanel,
                      std::size_t ldb, std::size_t nk, float *accs,
                      std::size_t nj)
     {
         std::size_t j = 0;
-        for (; j + WF <= nj; j += WF) {
-            VF acc = Ops::loadF(accs + j);
-            const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                acc = Ops::addF(acc, Ops::mulF(Ops::set1F(arow[kk]),
-                                               Ops::loadF(brow)));
-                acc = Ops::castI2F(
-                    widenLanesHalf(narrowLanesHalf(Ops::castF2I(acc))));
-            }
-            Ops::storeF(accs + j, acc);
+        for (; j + 8 * WF <= nj; j += 8 * WF)
+            roundHalfChains<8>(arow, bpanel + j, ldb, nk, accs + j);
+        if (j + 4 * WF <= nj) {
+            roundHalfChains<4>(arow, bpanel + j, ldb, nk, accs + j);
+            j += 4 * WF;
+        }
+        if (j + 2 * WF <= nj) {
+            roundHalfChains<2>(arow, bpanel + j, ldb, nk, accs + j);
+            j += 2 * WF;
+        }
+        if (j + WF <= nj) {
+            roundHalfChains<1>(arow, bpanel + j, ldb, nk, accs + j);
+            j += WF;
         }
         for (; j < nj; ++j) {
             float acc = accs[j];

@@ -306,7 +306,6 @@ Server::executeFlight(const std::string &key, const ServeRequest &request)
         WorkerOptions wopts;
         wopts.deadlineSec = _options.workerDeadlineSec;
         wopts.graceSec = _options.workerGraceSec;
-        wopts.engine.planCache = _planCache;
         wopts.engine.allowChaos = _options.allowChaos;
         wopts.engine.verifyGemms = _options.verifyGemms;
         wopts.engine.verifyMaxN = _options.verifyMaxN;

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <memory>
 
 #include <fcntl.h>
 #include <sys/wait.h>
@@ -84,7 +85,13 @@ workerChild(int result_fd, const ServeRequest &request,
     if (::getppid() == 1)
         ::_exit(exit_code::ExecFailed);
 #endif
-    auto payload = executePayload(request, engine);
+    // The daemon's shared plan cache cannot cross the fork: another
+    // slot's thread may hold its mutex inside findOrCompute, and no
+    // thread here would ever release it. Plans are a pure function of
+    // the request, so a private cache changes no payload byte.
+    EngineOptions own = engine;
+    own.planCache = std::make_shared<blas::PlanCache>();
+    auto payload = executePayload(request, own);
     const std::string frame =
         payload.isOk() ? okResponse(request.id, payload.value())
                        : errorResponse(request.id, payload.status());

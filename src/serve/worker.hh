@@ -39,7 +39,9 @@ struct WorkerOptions
     double deadlineSec = 60.0;
     /** Grace between SIGTERM and SIGKILL. */
     double graceSec = 2.0;
-    /** Execution environment handed to the child's executePayload. */
+    /** Execution environment handed to the child's executePayload;
+     *  the child swaps planCache for a private one (a shared cache's
+     *  mutex may be held by another daemon thread at fork time). */
     EngineOptions engine;
 };
 

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "blas/fast_gemm.hh"
@@ -59,21 +61,45 @@ struct Shape
 };
 
 /** n values straddle every vector width (4, 8, 16 f32 lanes) with odd
- *  tails; the last shape crosses the block sizes below as well. */
+ *  tails; the last shape crosses the narrow block sizes as well. */
 const Shape kShapes[] = {
     {1, 1, 1},   {3, 5, 7},     {7, 15, 9},  {9, 17, 23},
     {13, 31, 8}, {21, 33, 19},  {27, 47, 29}, {67, 129, 65},
 };
 
+/** Shapes for the wide blocks: n = 128 is exactly one 8-chain group
+ *  on avx512, and 129, 200 (panels 136 + 64) and 257 (136 + 121)
+ *  leave every smaller chain group and a scalar tail behind it. */
+const Shape kWideShapes[] = {
+    {9, 128, 37}, {13, 129, 70}, {6, 200, 129}, {11, 257, 65},
+};
+
+/** One cache-blocking configuration and the shapes run under it. */
+struct BlockConfig
+{
+    const char *name;
+    int blockM, blockN, blockK;
+    std::span<const Shape> shapes;
+};
+
+/** blockN = 24 cuts many short column panels; blockN = 136 reaches
+ *  the round_each_step kernel's multi-chain groups (8 vectors are 128
+ *  columns on avx512) that a 24-column panel never fills. */
+const BlockConfig kBlockConfigs[] = {
+    {"narrow", 16, 24, 40, kShapes},
+    {"wide", 4, 136, 64, kWideShapes},
+};
+
 FunctionalGemmOptions
-tierOptions(SimdTier tier, int threads)
+tierOptions(SimdTier tier, int threads,
+            const BlockConfig &blocks = kBlockConfigs[0])
 {
     FunctionalGemmOptions opts;
     opts.simd = tier;
     opts.threads = threads;
-    opts.blockM = 16;
-    opts.blockN = 24;
-    opts.blockK = 40;
+    opts.blockM = blocks.blockM;
+    opts.blockN = blocks.blockN;
+    opts.blockK = blocks.blockK;
     return opts;
 }
 
@@ -81,32 +107,116 @@ class SimdTierTest : public ::testing::TestWithParam<SimdTier>
 {
 };
 
+/** @p tier against the scalar tier on one operand set, at threads
+ *  1/2/8 under @p blocks. */
+template <typename TCD, typename TAB, typename TAcc>
+void
+expectTierMatchesScalarTierOn(SimdTier tier, bool round_each_step,
+                              const BlockConfig &blocks,
+                              const Matrix<TAB> &a, const Matrix<TAB> &b,
+                              const Matrix<TCD> &c)
+{
+    Matrix<TCD> d_scalar(c.rows(), c.cols());
+    fastReferenceGemm<TCD, TAB, TAcc>(
+        1.25, a, b, -0.5, c, d_scalar, round_each_step,
+        tierOptions(SimdTier::Scalar, 1, blocks));
+
+    for (int threads : {1, 2, 8}) {
+        Matrix<TCD> d_tier(c.rows(), c.cols());
+        fastReferenceGemm<TCD, TAB, TAcc>(
+            1.25, a, b, -0.5, c, d_tier, round_each_step,
+            tierOptions(tier, threads, blocks));
+        EXPECT_TRUE(bitIdentical(d_scalar, d_tier))
+            << "tier=" << simdTierName(tier) << " blocks=" << blocks.name
+            << " shape " << a.rows() << "x" << b.cols() << "x"
+            << a.cols() << " threads=" << threads
+            << " round_each_step=" << round_each_step;
+    }
+}
+
 template <typename TCD, typename TAB, typename TAcc>
 void
 expectTierMatchesScalarTier(SimdTier tier, bool round_each_step)
 {
-    for (const Shape &s : kShapes) {
-        Rng rng(0xca11 + s.m * 131 + s.n * 17 + s.k);
-        const auto a = randomMatrix<TAB>(rng, s.m, s.k);
-        const auto b = randomMatrix<TAB>(rng, s.k, s.n);
-        const auto c = randomMatrix<TCD>(rng, s.m, s.n);
-
-        Matrix<TCD> d_scalar(s.m, s.n);
-        fastReferenceGemm<TCD, TAB, TAcc>(
-            1.25, a, b, -0.5, c, d_scalar, round_each_step,
-            tierOptions(SimdTier::Scalar, 1));
-
-        for (int threads : {1, 2, 8}) {
-            Matrix<TCD> d_tier(s.m, s.n);
-            fastReferenceGemm<TCD, TAB, TAcc>(
-                1.25, a, b, -0.5, c, d_tier, round_each_step,
-                tierOptions(tier, threads));
-            EXPECT_TRUE(bitIdentical(d_scalar, d_tier))
-                << "tier=" << simdTierName(tier) << " shape " << s.m
-                << "x" << s.n << "x" << s.k << " threads=" << threads
-                << " round_each_step=" << round_each_step;
+    for (const BlockConfig &blocks : kBlockConfigs) {
+        for (const Shape &s : blocks.shapes) {
+            Rng rng(0xca11 + s.m * 131 + s.n * 17 + s.k);
+            const auto a = randomMatrix<TAB>(rng, s.m, s.k);
+            const auto b = randomMatrix<TAB>(rng, s.k, s.n);
+            const auto c = randomMatrix<TCD>(rng, s.m, s.n);
+            expectTierMatchesScalarTierOn<TCD, TAB, TAcc>(
+                tier, round_each_step, blocks, a, b, c);
         }
     }
+}
+
+/**
+ * HGEMM operands that drive the round_each_step chains through the
+ * f16 special cases. Row i of A (and of C) takes class i % 4:
+ *
+ *  0. magnitudes up to 65504, so running sums round past the largest
+ *     finite half to +-inf;
+ *  1. ordinary values with +inf at k = 1 and -inf at k = 3, so every
+ *     column whose B(1, j) and B(3, j) share a sign meets inf - inf and
+ *     turns NaN (and the others stay infinite);
+ *  2. magnitudes below 2^-17, so products and sums land in the f16
+ *     subnormal range and round there;
+ *  3. ordinary values in (-1, 1).
+ */
+struct SpecialOperands
+{
+    Matrix<fp::Half> a, b, c;
+};
+
+SpecialOperands
+specialHalfOperands(std::size_t m, std::size_t n, std::size_t k)
+{
+    Rng rng(0x5bec1a1);
+    auto value = [&](std::size_t row_class) {
+        const double sign = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+        switch (row_class) {
+          case 0: return fp::Half(sign * rng.uniform(8192.0, 65504.0));
+          case 2: return fp::Half(sign * rng.uniform(0.0, 0x1p-17));
+          default: return fp::Half(rng.uniform(-1.0, 1.0));
+        }
+    };
+    SpecialOperands ops{Matrix<fp::Half>(m, k), Matrix<fp::Half>(k, n),
+                        Matrix<fp::Half>(m, n)};
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk)
+            ops.a(i, kk) = value(i % 4);
+        for (std::size_t j = 0; j < n; ++j)
+            ops.c(i, j) = value(i % 4);
+        if (i % 4 == 1 && k > 3) {
+            ops.a(i, 1) = fp::Half::fromBits(0x7c00);
+            ops.a(i, 3) = fp::Half::fromBits(0xfc00);
+        }
+    }
+    for (std::size_t kk = 0; kk < k; ++kk)
+        for (std::size_t j = 0; j < n; ++j)
+            ops.b(kk, j) = value(3);
+    return ops;
+}
+
+/** True when @p d holds at least one infinity, one NaN and one
+ *  subnormal: proof that the special operands reached every case. */
+::testing::AssertionResult
+coversSpecialValues(const Matrix<fp::Half> &d)
+{
+    bool inf = false, nan = false, subnormal = false;
+    for (std::size_t i = 0; i < d.rows(); ++i) {
+        for (std::size_t j = 0; j < d.cols(); ++j) {
+            const std::uint16_t bits = d(i, j).bits();
+            inf |= d(i, j).isInf();
+            nan |= d(i, j).isNan();
+            subnormal |= (bits & 0x7c00) == 0 && (bits & 0x3ff) != 0;
+        }
+    }
+    if (inf && nan && subnormal)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "inf=" << inf << " nan=" << nan
+           << " subnormal=" << subnormal;
 }
 
 TEST_P(SimdTierTest, Dgemm)
@@ -124,6 +234,17 @@ TEST_P(SimdTierTest, HgemmRoundsEachStep)
 {
     expectTierMatchesScalarTier<fp::Half, fp::Half, float>(GetParam(),
                                                            true);
+}
+
+TEST_P(SimdTierTest, HgemmSpecialValuesThroughTheChain)
+{
+    // The hardware narrow's inf, NaN and subnormal cases inside the
+    // GEMM chain, not only lane by lane (simd_convert_test.cc).
+    for (const BlockConfig &blocks : kBlockConfigs) {
+        const SpecialOperands ops = specialHalfOperands(8, 200, 48);
+        expectTierMatchesScalarTierOn<fp::Half, fp::Half, float>(
+            GetParam(), true, blocks, ops.a, ops.b, ops.c);
+    }
 }
 
 TEST_P(SimdTierTest, Hhs)
@@ -194,6 +315,29 @@ TEST_P(SimdTierTest, SyrkMatchesScalarTier)
     }
 }
 
+/** The scalar tier against scalarReferenceGemm on one operand set,
+ *  with per-step rounding off and on. */
+void
+expectScalarTierMatchesReference(const Matrix<fp::Half> &a,
+                                 const Matrix<fp::Half> &b,
+                                 const Matrix<fp::Half> &c,
+                                 const BlockConfig &blocks)
+{
+    for (const bool round_each_step : {false, true}) {
+        Matrix<fp::Half> d_ref(c.rows(), c.cols());
+        Matrix<fp::Half> d_scalar_tier(c.rows(), c.cols());
+        scalarReferenceGemm<fp::Half, fp::Half, float>(
+            1.25, a, b, -0.5, c, d_ref, round_each_step);
+        fastReferenceGemm<fp::Half, fp::Half, float>(
+            1.25, a, b, -0.5, c, d_scalar_tier, round_each_step,
+            tierOptions(SimdTier::Scalar, 1, blocks));
+        EXPECT_TRUE(bitIdentical(d_ref, d_scalar_tier))
+            << "blocks=" << blocks.name << " shape " << a.rows() << "x"
+            << b.cols() << "x" << a.cols()
+            << " round_each_step=" << round_each_step;
+    }
+}
+
 /** The tier knob must not leak into the retained scalar reference:
  *  the scalar tier itself reproduces scalarReferenceGemm exactly. */
 TEST(SimdTierAnchor, ScalarTierMatchesScalarReference)
@@ -203,17 +347,29 @@ TEST(SimdTierAnchor, ScalarTierMatchesScalarReference)
     const auto a = randomMatrix<fp::Half>(rng, s.m, s.k);
     const auto b = randomMatrix<fp::Half>(rng, s.k, s.n);
     const auto c = randomMatrix<fp::Half>(rng, s.m, s.n);
+    expectScalarTierMatchesReference(a, b, c, kBlockConfigs[0]);
 
-    for (const bool round_each_step : {false, true}) {
-        Matrix<fp::Half> d_ref(s.m, s.n), d_scalar_tier(s.m, s.n);
-        scalarReferenceGemm<fp::Half, fp::Half, float>(
-            1.25, a, b, -0.5, c, d_ref, round_each_step);
-        fastReferenceGemm<fp::Half, fp::Half, float>(
-            1.25, a, b, -0.5, c, d_scalar_tier, round_each_step,
-            tierOptions(SimdTier::Scalar, 1));
-        EXPECT_TRUE(bitIdentical(d_ref, d_scalar_tier))
-            << "round_each_step=" << round_each_step;
+    const BlockConfig &wide = kBlockConfigs[1];
+    for (const Shape &w : wide.shapes) {
+        Rng wrng(0xbeef + w.n);
+        const auto wa = randomMatrix<fp::Half>(wrng, w.m, w.k);
+        const auto wb = randomMatrix<fp::Half>(wrng, w.k, w.n);
+        const auto wc = randomMatrix<fp::Half>(wrng, w.m, w.n);
+        expectScalarTierMatchesReference(wa, wb, wc, wide);
     }
+}
+
+TEST(SimdTierAnchor, SpecialValuesMatchScalarReference)
+{
+    const SpecialOperands ops = specialHalfOperands(8, 200, 48);
+    for (const BlockConfig &blocks : kBlockConfigs)
+        expectScalarTierMatchesReference(ops.a, ops.b, ops.c, blocks);
+
+    // The operands really do reach every special case of the chain.
+    Matrix<fp::Half> d(ops.c.rows(), ops.c.cols());
+    scalarReferenceGemm<fp::Half, fp::Half, float>(
+        1.25, ops.a, ops.b, -0.5, ops.c, d, true);
+    EXPECT_TRUE(coversSpecialValues(d));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -208,6 +209,41 @@ TEST_P(SimdConvertTest, NarrowBf16RandomPatterns)
     for (std::size_t i = 0; i < kCount; ++i)
         ASSERT_EQ(out[i], fp::BFloat16(in[i]).bits())
             << "f32=0x" << std::hex << bits[i];
+}
+
+TEST_P(SimdConvertTest, RoundTripHalfMatchesSoftware)
+{
+    // The round_each_step chain's per-lane f16 round trip, driven
+    // through axpyRoundHalfF32 with one k-step that adds 1 * -0 (x +
+    // -0 is x for every x, signed zeros included). Inputs: every half
+    // value widened to f32, its +-1 f32-ulp neighbours, and the exact
+    // midpoint to the next half away from zero (a RNE tie; 65520 ties
+    // to infinity).
+    std::vector<std::uint32_t> bits;
+    for (std::uint32_t h = 0; h < (1u << 16); ++h) {
+        const std::uint32_t x = floatBits(
+            fp::Half::fromBits(static_cast<std::uint16_t>(h)).toFloat());
+        bits.insert(bits.end(), {x, x - 1, x + 1});
+        const std::uint32_t exp = (h >> 10) & 0x1f;
+        if (exp == 31)
+            continue;
+        const double ulp = std::ldexp(1.0, exp == 0 ? -24 : int(exp) - 25);
+        const double mid = std::fabs(double(bitsToFloat(x))) + ulp / 2;
+        bits.push_back(floatBits(static_cast<float>(mid)) |
+                       (x & 0x80000000u));
+    }
+    std::vector<float> accs(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        accs[i] = bitsToFloat(bits[i]);
+    const float one = 1.0f;
+    const std::vector<float> neg_zero(bits.size(), -0.0f);
+    ker().axpyRoundHalfF32(&one, neg_zero.data(), neg_zero.size(), 1,
+                           accs.data(), accs.size());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        const float want = fp::Half(bitsToFloat(bits[i])).toFloat();
+        ASSERT_EQ(floatBits(accs[i]), floatBits(want))
+            << "f32=0x" << std::hex << bits[i];
+    }
 }
 
 TEST_P(SimdConvertTest, ShortAndUnalignedLengthsHitTheTailPath)

@@ -7,12 +7,16 @@
  * same exclusion hatch as test_supervisor.
  */
 
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
+#include "blas/plan_cache.hh"
 #include "serve/engine.hh"
 #include "serve/protocol.hh"
 #include "serve/worker.hh"
@@ -90,6 +94,39 @@ TEST(RunInWorker, MatchesInProcessExecutionByteForByte)
     auto forked = runInWorker(req, fastOptions());
     ASSERT_TRUE(direct.isOk()) << direct.status().toString();
     ASSERT_TRUE(forked.isOk()) << forked.status().toString();
+    EXPECT_EQ(direct.value().serialize(0), forked.value().serialize(0));
+}
+
+TEST(RunInWorker, ForkWhileAnotherSlotHoldsThePlanCacheLock)
+{
+    // Another daemon slot is planning inside the shared cache's
+    // findOrCompute (blocked on a latch here) when this request forks
+    // its worker. The child inherits that mutex locked with no thread
+    // to unlock it, so it must not touch the shared cache at all.
+    auto cache = std::make_shared<blas::PlanCache>();
+    std::latch entered(1);
+    std::latch release(1);
+    std::thread holder([&] {
+        cache->findOrCompute(blas::PlanKey{}, [&] {
+            entered.count_down();
+            release.wait();
+            return blas::GemmPlan{};
+        });
+    });
+    entered.wait();
+
+    WorkerOptions options = fastOptions();
+    options.deadlineSec = 5.0;
+    options.engine.planCache = cache;
+    const ServeRequest req =
+        parse(R"({"kind":"gemm","n":64,"reps":2})");
+    auto forked = runInWorker(req, options);
+    release.count_down();
+    holder.join();
+
+    ASSERT_TRUE(forked.isOk()) << forked.status().toString();
+    auto direct = executePayload(req, {});
+    ASSERT_TRUE(direct.isOk()) << direct.status().toString();
     EXPECT_EQ(direct.value().serialize(0), forked.value().serialize(0));
 }
 

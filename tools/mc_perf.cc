@@ -488,6 +488,7 @@ cpuFeaturesJson()
     JsonValue features = JsonValue::object();
     features.set("sse2", cpu.sse2);
     features.set("avx2", cpu.avx2);
+    features.set("f16c", cpu.f16c);
     features.set("avx512", cpu.avx512);
     features.set("avx512vnni", cpu.avx512vnni);
     features.set("neon", cpu.neon);
