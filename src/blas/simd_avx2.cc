@@ -79,17 +79,6 @@ struct Avx2Ops
         return _mm256_cvtepu16_epi32(
             _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
     }
-    static void
-    storeU16(std::uint16_t *p, VI h)
-    {
-        // packus works per 128-bit lane; permute the packed quadwords
-        // back into order. Lane values are <= 0xffff, so the unsigned
-        // saturation is lossless.
-        const __m256i packed = _mm256_packus_epi32(h, h);
-        const __m256i ordered = _mm256_permute4x64_epi64(packed, 0x08);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(p),
-                         _mm256_castsi256_si128(ordered));
-    }
 };
 
 } // namespace

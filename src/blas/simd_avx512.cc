@@ -78,14 +78,6 @@ struct Avx512Ops
         return _mm512_cvtepu16_epi32(
             _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)));
     }
-    static void
-    storeU16(std::uint16_t *p, VI h)
-    {
-        // Lane values are <= 0xffff, so the truncating convert is
-        // lossless.
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p),
-                            _mm512_cvtepi32_epi16(h));
-    }
 };
 
 } // namespace

@@ -43,8 +43,6 @@ struct SimdKernels
     /** Batched bit-pattern conversions (fp/convert.hh semantics). */
     using WidenFn = void (*)(const std::uint16_t *in, float *out,
                              std::size_t n);
-    using NarrowFn = void (*)(const float *in, std::uint16_t *out,
-                              std::size_t n);
 
     SimdTier tier = SimdTier::Scalar;
     AxpyF32 axpyF32 = nullptr;
@@ -57,8 +55,6 @@ struct SimdKernels
     AxpyF64 axpySubF64 = nullptr;
     WidenFn widenHalfToF32 = nullptr;
     WidenFn widenBf16ToF32 = nullptr;
-    NarrowFn narrowF32ToHalf = nullptr;
-    NarrowFn narrowF32ToBf16 = nullptr;
 };
 
 /** The kernel table of a *resolved* tier (asserts tier != Auto). */

@@ -74,10 +74,6 @@ struct NeonOps
     {
         return vmovl_u16(vld1_u16(p));
     }
-    static void storeU16(std::uint16_t *p, VI h)
-    {
-        vst1_u16(p, vmovn_u32(h));
-    }
 };
 
 } // namespace

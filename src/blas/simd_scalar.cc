@@ -65,8 +65,6 @@ scalarSimdKernels()
         .axpySubF64 = axpySubF64,
         .widenHalfToF32 = fp::widenHalfBits,
         .widenBf16ToF32 = fp::widenBf16Bits,
-        .narrowF32ToHalf = fp::narrowToHalfBits,
-        .narrowF32ToBf16 = fp::narrowToBf16Bits,
     };
     return kernels;
 }

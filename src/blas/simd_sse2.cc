@@ -67,18 +67,6 @@ struct Sse2Ops
             _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
         return _mm_unpacklo_epi16(raw, _mm_setzero_si128());
     }
-    static void
-    storeU16(std::uint16_t *p, VI h)
-    {
-        // SSE2 has no unsigned 32->16 pack: bias into the signed
-        // range, pack with signed saturation (lossless after the
-        // bias), and un-bias the packed halves.
-        const __m128i biased = _mm_sub_epi32(h, _mm_set1_epi32(0x8000));
-        const __m128i packed = _mm_packs_epi32(biased, biased);
-        const __m128i fixed = _mm_xor_si128(
-            packed, _mm_set1_epi16(static_cast<short>(0x8000)));
-        _mm_storel_epi64(reinterpret_cast<__m128i *>(p), fixed);
-    }
 };
 
 } // namespace

@@ -35,8 +35,8 @@
  *    checks all of this exhaustively against fp::Half.
  *  - The integer f16->f32 widen rebiases normals, maps exp==31 onto
  *    the f32 inf/NaN pattern, and renormalizes subnormals as
- *    frac * 2^-24 (again an exact multiply). bf16 is a 16-bit shift
- *    both ways, with the software NaN-quieting rule on the narrow.
+ *    frac * 2^-24 (again an exact multiply). The bf16 widen is a
+ *    16-bit shift.
  *
  * The subnormal paths use the vector float<->int converts, which
  * follow the default MXCSR/FPCR rounding mode (round to nearest even)
@@ -131,23 +131,6 @@ struct VecKernels
                                     Ops::template slli<13>(frac)),
                            Ops::cmpeqI(exp16, Ops::set1I(31)));
         return Ops::orI(bits, sign);
-    }
-
-    static VI
-    narrowLanesBf16(VI f)
-    {
-        // RNE on the 16 discarded bits, same integer add as the scalar
-        // BFloat16::fromFloatBits (wraparound included).
-        const VI lsb =
-            Ops::andI(Ops::template srli<16>(f), Ops::set1I(1));
-        VI b = Ops::template srli<16>(
-            Ops::addI(f, Ops::addI(Ops::set1I(0x7fff), lsb)));
-        const VI abs = Ops::andI(f, Ops::set1I(0x7fffffff));
-        b = Ops::blendI(b,
-                        Ops::orI(Ops::template srli<16>(f),
-                                 Ops::set1I(0x40)),
-                        Ops::cmpgtI(abs, Ops::set1I(0x7f800000)));
-        return b;
     }
 
     // ---- axpy panels ----------------------------------------------
@@ -396,28 +379,6 @@ struct VecKernels
         for (; i < n; ++i)
             out[i] = fp::BFloat16::fromBits(in[i]).toFloat();
     }
-
-    static void
-    narrowHalf(const float *in, std::uint16_t *out, std::size_t n)
-    {
-        std::size_t i = 0;
-        for (; i + WF <= n; i += WF)
-            Ops::storeU16(out + i, narrowLanesHalf(
-                                       Ops::castF2I(Ops::loadF(in + i))));
-        for (; i < n; ++i)
-            out[i] = fp::Half(in[i]).bits();
-    }
-
-    static void
-    narrowBf16(const float *in, std::uint16_t *out, std::size_t n)
-    {
-        std::size_t i = 0;
-        for (; i + WF <= n; i += WF)
-            Ops::storeU16(out + i, narrowLanesBf16(
-                                       Ops::castF2I(Ops::loadF(in + i))));
-        for (; i < n; ++i)
-            out[i] = fp::BFloat16(in[i]).bits();
-    }
 };
 
 /** Build the dispatch table of one tier from its Ops wrapper. */
@@ -435,8 +396,6 @@ makeVecKernels(SimdTier tier)
         .axpySubF64 = K::axpySubF64,
         .widenHalfToF32 = K::widenHalf,
         .widenBf16ToF32 = K::widenBf16,
-        .narrowF32ToHalf = K::narrowHalf,
-        .narrowF32ToBf16 = K::narrowBf16,
     };
 }
 

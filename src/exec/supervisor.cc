@@ -14,12 +14,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
-
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
+#include "exec/child_process.hh"
 
 namespace mc {
 namespace exec {
@@ -31,20 +28,13 @@ constexpr const char *kManifestFile = "manifest.json";
 /** Set from signal handlers; polled by the supervision loops. */
 volatile std::sig_atomic_t g_shutdown_requested = 0;
 
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /** Sleep ~@p seconds in small chunks, returning early on shutdown. */
 void
 interruptibleSleep(double seconds)
 {
-    const double end = monotonicSeconds() + seconds;
-    while (!g_shutdown_requested && monotonicSeconds() < end) {
+    using Clock = std::chrono::steady_clock;
+    const auto end = Clock::now() + std::chrono::duration<double>(seconds);
+    while (!g_shutdown_requested && Clock::now() < end) {
         struct timespec ts{0, 10 * 1000 * 1000}; // 10 ms
         ::nanosleep(&ts, nullptr);
     }
@@ -95,14 +85,6 @@ parsePositiveDouble(const std::string &text, double &out)
         return false;
     out = v;
     return true;
-}
-
-/** Kill @p pid's whole process group, falling back to the pid alone. */
-void
-killGroup(pid_t pid, int signo)
-{
-    if (::kill(-pid, signo) != 0)
-        ::kill(pid, signo);
 }
 
 /** Read a whole file; empty string when unreadable (logs are best-effort). */
@@ -426,83 +408,36 @@ Supervisor::runAttempt(const BenchSpec &bench, int attempt_no,
         ::dprintf(err_fd, "[mc_suite] --- attempt %d ---\n", attempt_no);
     }
 
-    const double started = monotonicSeconds();
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-        // Child. Own process group, so watchdog escalation reaches any
-        // grandchildren the bench spawns; die with the supervisor so
-        // even `kill -9` of the suite leaves no orphans.
-        ::setpgid(0, 0);
-#if defined(__linux__)
-        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-        if (::getppid() == 1)
-            ::_exit(exit_code::ExecFailed); // parent already gone
-#endif
+    std::vector<char *> argv;
+    argv.reserve(bench.argv.size() + 1);
+    for (const std::string &arg : bench.argv)
+        argv.push_back(const_cast<char *>(arg.c_str()));
+    argv.push_back(nullptr);
+    ChildProcess child([&] {
         if (::chdir(_options.runDir.c_str()) != 0)
             ::_exit(exit_code::ExecFailed);
         ::dup2(out_fd, STDOUT_FILENO);
         ::dup2(err_fd, STDERR_FILENO);
         ::close(out_fd);
         ::close(err_fd);
-
-        std::vector<char *> argv;
-        argv.reserve(bench.argv.size() + 1);
-        for (const std::string &arg : bench.argv)
-            argv.push_back(const_cast<char *>(arg.c_str()));
-        argv.push_back(nullptr);
         ::execvp(argv[0], argv.data());
         std::fprintf(stderr, "mc_suite: exec '%s' failed: %s\n", argv[0],
                      std::strerror(errno));
         ::_exit(exit_code::ExecFailed);
-    }
+    });
     ::close(out_fd);
     ::close(err_fd);
-
-    if (pid < 0) {
+    if (!child.started()) {
         attempt.code = ErrorCode::ResourceExhausted;
         return attempt;
     }
-    // Also set the group from the parent: whichever side wins the race
-    // the group exists before anyone signals it.
-    ::setpgid(pid, pid);
 
-    // The watchdog wait loop: poll for exit, enforce the wall-clock
-    // deadline, honor shutdown requests. Polling (10 ms) keeps this
-    // simple and signal-handler-free; supervision latency is invisible
-    // next to bench runtimes.
-    int wait_status = 0;
-    bool reaped = false;
-    bool term_sent = false;
-    bool kill_sent = false;
-    double term_sent_at = 0.0;
-    while (!reaped) {
-        const pid_t r = ::waitpid(pid, &wait_status, WNOHANG);
-        if (r == pid) {
-            reaped = true;
-            break;
-        }
-        const double now = monotonicSeconds();
-        if (g_shutdown_requested && !kill_sent) {
-            // Suite interrupted: take the whole child group down hard.
-            killGroup(pid, SIGKILL);
-            kill_sent = true;
-        } else if (deadline_sec > 0.0 &&
-                   now - started > deadline_sec && !term_sent) {
-            attempt.watchdogFired = true;
-            killGroup(pid, SIGTERM);
-            term_sent = true;
-            term_sent_at = now;
-        } else if (term_sent && !kill_sent &&
-                   now - term_sent_at > _options.killGraceSec) {
-            // The child ignored SIGTERM past the grace period.
-            killGroup(pid, SIGKILL);
-            kill_sent = true;
-        }
-        struct timespec ts{0, 10 * 1000 * 1000}; // 10 ms
-        ::nanosleep(&ts, nullptr);
-    }
-    attempt.durationSec = monotonicSeconds() - started;
-
+    const ChildExit ended =
+        child.wait(deadline_sec, _options.killGraceSec,
+                   [] { return g_shutdown_requested != 0; });
+    const int wait_status = ended.waitStatus;
+    attempt.watchdogFired = ended.watchdogFired;
+    attempt.durationSec = ended.durationSec;
     if (g_shutdown_requested && !attempt.watchdogFired) {
         attempt.code = ErrorCode::Unavailable;
     } else {

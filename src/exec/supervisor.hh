@@ -13,9 +13,10 @@
  * Each bench in a SuitePlan is fork/exec'd into its own process group
  * with stdout/stderr captured to per-bench log files. A per-bench
  * *wall-clock* watchdog (unlike PR 2's simulated-time deadlines, this
- * catches real hangs) escalates SIGTERM → SIGKILL on the whole group;
- * children also carry PR_SET_PDEATHSIG so even a SIGKILLed supervisor
- * leaves no orphans. Exit statuses and termination signals are
+ * catches real hangs) escalates SIGTERM → SIGKILL on the whole group,
+ * through exec::ChildProcess (child_process.hh), which wakes on the
+ * child's exit and gives it a parent-death SIGKILL so even a SIGKILLed
+ * supervisor leaves no orphans. Exit statuses and termination signals are
  * classified into the ErrorCode taxonomy, crashes and timeouts are
  * retried under a RetryPolicy restart budget (real wall-clock backoff
  * this time), and every bench's command, attempts, and outcome land in

@@ -20,19 +20,5 @@ widenBf16Bits(const std::uint16_t *in, float *out, std::size_t n)
         out[i] = BFloat16::fromBits(in[i]).toFloat();
 }
 
-void
-narrowToHalfBits(const float *in, std::uint16_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = Half(in[i]).bits();
-}
-
-void
-narrowToBf16Bits(const float *in, std::uint16_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = BFloat16(in[i]).bits();
-}
-
 } // namespace fp
 } // namespace mc

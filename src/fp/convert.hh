@@ -1,16 +1,15 @@
 /**
  * @file
- * Batched reduced-precision <-> binary32 conversions on raw bit
- * patterns.
+ * Batched reduced-precision -> binary32 widening on raw bit patterns.
  *
  * The fast functional-GEMM backend packs whole Half/BFloat16 operand
  * matrices into f32 buffers before the blocked kernels run, and the
  * SIMD tiers (src/blas/simd_*.cc) re-implement these loops with vector
  * integer arithmetic. These scalar functions are the semantic anchor:
  * element i of the output is exactly Half::fromBits(in[i]).toFloat()
- * (resp. Half(in[i]).bits(), and the BFloat16 equivalents), and the
- * exhaustive suite in tests/fp/simd_convert_test.cc pins every SIMD
- * tier to them bit-for-bit.
+ * (resp. the BFloat16 equivalent), and the exhaustive suite in
+ * tests/fp/simd_convert_test.cc pins every SIMD tier to them
+ * bit-for-bit.
  */
 
 #ifndef MC_FP_CONVERT_HH
@@ -27,13 +26,6 @@ void widenHalfBits(const std::uint16_t *in, float *out, std::size_t n);
 
 /** out[i] = BFloat16::fromBits(in[i]).toFloat(). Widening is exact. */
 void widenBf16Bits(const std::uint16_t *in, float *out, std::size_t n);
-
-/** out[i] = Half(in[i]).bits() — round-to-nearest-even, subnormals,
- *  infinities and NaN payloads exactly as the software Half does. */
-void narrowToHalfBits(const float *in, std::uint16_t *out, std::size_t n);
-
-/** out[i] = BFloat16(in[i]).bits() — RNE with the NaN-quieting rule. */
-void narrowToBf16Bits(const float *in, std::uint16_t *out, std::size_t n);
 
 } // namespace fp
 } // namespace mc

@@ -1,59 +1,19 @@
 #include "worker.hh"
 
-#include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <memory>
+#include <optional>
 
-#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
-
+#include "exec/child_process.hh"
 #include "exec/supervisor.hh"
 
 namespace mc {
 namespace serve {
 
 namespace {
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Kill the worker's whole process group, falling back to the pid. */
-void
-killGroup(pid_t pid, int signo)
-{
-    if (::kill(-pid, signo) != 0)
-        ::kill(pid, signo);
-}
-
-/** Nonblocking drain of @p fd into @p buffer; true on EOF. */
-bool
-drainPipe(int fd, std::string &buffer)
-{
-    char chunk[4096];
-    for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n > 0) {
-            buffer.append(chunk, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n == 0)
-            return true;
-        if (errno == EINTR)
-            continue;
-        return false; // EAGAIN (or an error treated as "not EOF yet")
-    }
-}
 
 /** Extract the single result frame from the drained pipe bytes;
  *  nullopt when the frame is missing or torn. */
@@ -76,15 +36,6 @@ extractFrame(const std::string &buffer)
 workerChild(int result_fd, const ServeRequest &request,
             const EngineOptions &engine)
 {
-    // Mirror the supervisor's child setup: own group so escalation
-    // reaches any descendants, die with the daemon so a SIGKILLed
-    // daemon leaves no orphan simulations behind.
-    ::setpgid(0, 0);
-#if defined(__linux__)
-    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-    if (::getppid() == 1)
-        ::_exit(exit_code::ExecFailed);
-#endif
     // The daemon's shared plan cache cannot cross the fork: another
     // slot's thread may hold its mutex inside findOrCompute, and no
     // thread here would ever release it. Plans are a pure function of
@@ -125,55 +76,22 @@ runInWorker(const ServeRequest &request, const WorkerOptions &options)
     if (::pipe(pipe_fds) != 0)
         return Status::resourceExhausted("cannot allocate a worker pipe");
 
-    const pid_t pid = ::fork();
-    if (pid == 0) {
+    exec::ChildProcess child([&] {
         ::close(pipe_fds[0]);
         workerChild(pipe_fds[1], request, options.engine);
-    }
+    });
     ::close(pipe_fds[1]);
-    if (pid < 0) {
+    if (!child.started()) {
         ::close(pipe_fds[0]);
         return Status::resourceExhausted("cannot fork a worker process");
     }
-    ::setpgid(pid, pid);
-    ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-
-    // The supervisor's watchdog loop, plus pipe draining: reading while
-    // waiting keeps a worker with a payload larger than the pipe buffer
-    // from blocking forever on write (which the watchdog would then
-    // misread as a hang).
     std::string buffer;
-    int wait_status = 0;
-    bool watchdog_fired = false;
-    bool term_sent = false;
-    bool kill_sent = false;
-    double term_sent_at = 0.0;
-    const double started = monotonicSeconds();
-    for (;;) {
-        drainPipe(pipe_fds[0], buffer);
-        const pid_t r = ::waitpid(pid, &wait_status, WNOHANG);
-        if (r == pid)
-            break;
-        const double now = monotonicSeconds();
-        if (options.deadlineSec > 0.0 &&
-            now - started > options.deadlineSec && !term_sent) {
-            watchdog_fired = true;
-            killGroup(pid, SIGTERM);
-            term_sent = true;
-            term_sent_at = now;
-        } else if (term_sent && !kill_sent &&
-                   now - term_sent_at > options.graceSec) {
-            killGroup(pid, SIGKILL);
-            kill_sent = true;
-        }
-        struct timespec ts{0, 10 * 1000 * 1000}; // 10 ms
-        ::nanosleep(&ts, nullptr);
-    }
-    // Everything the child wrote before exiting is still in the pipe.
-    drainPipe(pipe_fds[0], buffer);
+    const exec::ChildExit ended = child.wait(
+        options.deadlineSec, options.graceSec, {}, pipe_fds[0], &buffer);
     ::close(pipe_fds[0]);
 
-    const ErrorCode code = classifyWorkerExit(wait_status, watchdog_fired);
+    const ErrorCode code =
+        classifyWorkerExit(ended.waitStatus, ended.watchdogFired);
     const std::optional<std::string> frame = extractFrame(buffer);
     if (code == ErrorCode::Ok && frame) {
         auto response = parseResponse(*frame);

@@ -5,16 +5,16 @@
  * A request that can take a process down — chaos modes by design,
  * fault-injected requests by assumption — must not take the *daemon*
  * down. runInWorker executes the request's payload in a forked child
- * under the supervisor pattern of src/exec/supervisor.cc (own process
- * group, PDEATHSIG, 10 ms watchdog poll, SIGTERM -> SIGKILL
- * escalation) and maps the child's fate into the ErrorCode taxonomy:
- * the daemon's degradation ladder (docs/SERVING.md) is exactly this
- * classification.
+ * on exec::ChildProcess, the suite supervisor's primitive (own process
+ * group, parent-death SIGKILL, SIGTERM -> SIGKILL escalation; the wait
+ * wakes on the child's pidfd, so an exited worker is reaped at once),
+ * and maps the child's fate into the ErrorCode taxonomy: the daemon's
+ * degradation ladder (docs/SERVING.md) is exactly this classification.
  *
  * The child streams its result back over a pipe using the same
  * length-prefixed frame as the wire protocol, enveloped by
  * okResponse/errorResponse — one framing for sockets and pipes. The
- * parent drains the pipe *inside* the watchdog loop, so a worker
+ * parent drains the pipe *inside* the watchdog wait, so a worker
  * writing a large payload can never deadlock against a parent that
  * only reads after reaping.
  */

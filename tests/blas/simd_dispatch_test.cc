@@ -93,8 +93,6 @@ TEST(SimdDispatch, KernelTablesCarryTheirTierAndAreFullyPopulated)
         EXPECT_NE(ker.axpySubF64, nullptr);
         EXPECT_NE(ker.widenHalfToF32, nullptr);
         EXPECT_NE(ker.widenBf16ToF32, nullptr);
-        EXPECT_NE(ker.narrowF32ToHalf, nullptr);
-        EXPECT_NE(ker.narrowF32ToBf16, nullptr);
     }
 }
 

@@ -5,10 +5,11 @@
  *
  * The semantic anchor is the software arithmetic in fp/half.hh and
  * fp/bfloat16.hh: widening must reproduce Half::fromBits(h).toFloat()
- * for all 65536 bit patterns, and narrowing must reproduce
- * Half(f).bits() — RNE ties, subnormals, infinities, NaN quieting and
- * payload truncation included. Comparisons are on raw bit patterns, so
- * NaN payloads and signed zeros count.
+ * for all 65536 bit patterns, and the round_each_step chain's f16
+ * round trip must reproduce Half(f).toFloat() — RNE ties, subnormals,
+ * infinities, NaN quieting and payload truncation included.
+ * Comparisons are on raw bit patterns, so NaN payloads and signed
+ * zeros count.
  */
 
 #include <gtest/gtest.h>
@@ -122,20 +123,19 @@ TEST_P(SimdConvertTest, WidenBf16AllPatterns)
     }
 }
 
-TEST_P(SimdConvertTest, NarrowHalfRoundTripsAllHalfValues)
+/** Run @p in through the round_each_step chain's per-lane f16 round
+ *  trip: axpyRoundHalfF32 with one k-step that adds 1 * -0 (x + -0 is
+ *  x for every x, signed zeros included), so each lane comes back as
+ *  widen(narrow(x)). On sse2 and NEON that narrow is the integer
+ *  narrowLanesHalf; on avx2/avx512 it is vcvtps2ph. */
+std::vector<float>
+roundTripThroughChain(const SimdKernels &ker, std::vector<float> accs)
 {
-    // Every f32 that is exactly a binary16 value must narrow back to
-    // the bits it came from (NaNs keep quieting + payload truncation,
-    // which Half(float) also applies, so compare against that).
-    const std::vector<std::uint16_t> patterns = allU16Patterns();
-    std::vector<float> wide(patterns.size());
-    fp::widenHalfBits(patterns.data(), wide.data(), patterns.size());
-    std::vector<std::uint16_t> narrow(patterns.size());
-    ker().narrowF32ToHalf(wide.data(), narrow.data(), wide.size());
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-        const std::uint16_t want = fp::Half(wide[i]).bits();
-        ASSERT_EQ(narrow[i], want) << "h=0x" << std::hex << patterns[i];
-    }
+    const float one = 1.0f;
+    const std::vector<float> neg_zero(accs.size(), -0.0f);
+    ker.axpyRoundHalfF32(&one, neg_zero.data(), neg_zero.size(), 1,
+                         accs.data(), accs.size());
+    return accs;
 }
 
 TEST_P(SimdConvertTest, NarrowHalfBoundaryPatterns)
@@ -144,10 +144,9 @@ TEST_P(SimdConvertTest, NarrowHalfBoundaryPatterns)
     std::vector<float> in(bits.size());
     for (std::size_t i = 0; i < bits.size(); ++i)
         in[i] = bitsToFloat(bits[i]);
-    std::vector<std::uint16_t> out(bits.size());
-    ker().narrowF32ToHalf(in.data(), out.data(), in.size());
+    const std::vector<float> out = roundTripThroughChain(ker(), in);
     for (std::size_t i = 0; i < bits.size(); ++i)
-        ASSERT_EQ(out[i], fp::Half(in[i]).bits())
+        ASSERT_EQ(floatBits(out[i]), floatBits(fp::Half(in[i]).toFloat()))
             << "f32=0x" << std::hex << bits[i];
 }
 
@@ -161,64 +160,17 @@ TEST_P(SimdConvertTest, NarrowHalfRandomPatterns)
         bits[i] = static_cast<std::uint32_t>(rng.next());
         in[i] = bitsToFloat(bits[i]);
     }
-    std::vector<std::uint16_t> out(kCount);
-    ker().narrowF32ToHalf(in.data(), out.data(), kCount);
+    const std::vector<float> out = roundTripThroughChain(ker(), in);
     for (std::size_t i = 0; i < kCount; ++i)
-        ASSERT_EQ(out[i], fp::Half(in[i]).bits())
-            << "f32=0x" << std::hex << bits[i];
-}
-
-TEST_P(SimdConvertTest, NarrowBf16RoundTripsAllBf16Values)
-{
-    const std::vector<std::uint16_t> patterns = allU16Patterns();
-    std::vector<float> wide(patterns.size());
-    fp::widenBf16Bits(patterns.data(), wide.data(), patterns.size());
-    std::vector<std::uint16_t> narrow(patterns.size());
-    ker().narrowF32ToBf16(wide.data(), narrow.data(), wide.size());
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-        const std::uint16_t want = fp::BFloat16(wide[i]).bits();
-        ASSERT_EQ(narrow[i], want) << "b=0x" << std::hex << patterns[i];
-    }
-}
-
-TEST_P(SimdConvertTest, NarrowBf16BoundaryPatterns)
-{
-    const std::vector<std::uint32_t> bits = boundaryF32Patterns();
-    std::vector<float> in(bits.size());
-    for (std::size_t i = 0; i < bits.size(); ++i)
-        in[i] = bitsToFloat(bits[i]);
-    std::vector<std::uint16_t> out(bits.size());
-    ker().narrowF32ToBf16(in.data(), out.data(), in.size());
-    for (std::size_t i = 0; i < bits.size(); ++i)
-        ASSERT_EQ(out[i], fp::BFloat16(in[i]).bits())
-            << "f32=0x" << std::hex << bits[i];
-}
-
-TEST_P(SimdConvertTest, NarrowBf16RandomPatterns)
-{
-    Rng rng(0xbf16bf16u);
-    constexpr std::size_t kCount = 1u << 20;
-    std::vector<float> in(kCount);
-    std::vector<std::uint32_t> bits(kCount);
-    for (std::size_t i = 0; i < kCount; ++i) {
-        bits[i] = static_cast<std::uint32_t>(rng.next());
-        in[i] = bitsToFloat(bits[i]);
-    }
-    std::vector<std::uint16_t> out(kCount);
-    ker().narrowF32ToBf16(in.data(), out.data(), kCount);
-    for (std::size_t i = 0; i < kCount; ++i)
-        ASSERT_EQ(out[i], fp::BFloat16(in[i]).bits())
+        ASSERT_EQ(floatBits(out[i]), floatBits(fp::Half(in[i]).toFloat()))
             << "f32=0x" << std::hex << bits[i];
 }
 
 TEST_P(SimdConvertTest, RoundTripHalfMatchesSoftware)
 {
-    // The round_each_step chain's per-lane f16 round trip, driven
-    // through axpyRoundHalfF32 with one k-step that adds 1 * -0 (x +
-    // -0 is x for every x, signed zeros included). Inputs: every half
-    // value widened to f32, its +-1 f32-ulp neighbours, and the exact
-    // midpoint to the next half away from zero (a RNE tie; 65520 ties
-    // to infinity).
+    // The chain's round trip on every half value widened to f32, its
+    // +-1 f32-ulp neighbours, and the exact midpoint to the next half
+    // away from zero (a RNE tie; 65520 ties to infinity).
     std::vector<std::uint32_t> bits;
     for (std::uint32_t h = 0; h < (1u << 16); ++h) {
         const std::uint32_t x = floatBits(
@@ -232,13 +184,10 @@ TEST_P(SimdConvertTest, RoundTripHalfMatchesSoftware)
         bits.push_back(floatBits(static_cast<float>(mid)) |
                        (x & 0x80000000u));
     }
-    std::vector<float> accs(bits.size());
+    std::vector<float> in(bits.size());
     for (std::size_t i = 0; i < bits.size(); ++i)
-        accs[i] = bitsToFloat(bits[i]);
-    const float one = 1.0f;
-    const std::vector<float> neg_zero(bits.size(), -0.0f);
-    ker().axpyRoundHalfF32(&one, neg_zero.data(), neg_zero.size(), 1,
-                           accs.data(), accs.size());
+        in[i] = bitsToFloat(bits[i]);
+    const std::vector<float> accs = roundTripThroughChain(ker(), in);
     for (std::size_t i = 0; i < bits.size(); ++i) {
         const float want = fp::Half(bitsToFloat(bits[i])).toFloat();
         ASSERT_EQ(floatBits(accs[i]), floatBits(want))
@@ -280,31 +229,23 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FpConvertBatch, MatchesPerElementSoftwareConversion)
 {
-    // The scalar batch API in fp/convert.hh is the anchor everything
-    // above compares against; pin it to the per-element Half/BFloat16
-    // arithmetic directly.
+    // The scalar batch widen in fp/convert.hh is the anchor the tier
+    // widens above compare against; pin it to the per-element
+    // Half/BFloat16 arithmetic directly.
     const std::uint16_t halves[] = {0x0000, 0x8000, 0x0001, 0x03ff,
                                     0x0400, 0x3c00, 0x7bff, 0x7c00,
                                     0xfc00, 0x7e00, 0x7c01, 0xbc00};
     constexpr std::size_t kN = sizeof(halves) / sizeof(halves[0]);
     float wide[kN];
     fp::widenHalfBits(halves, wide, kN);
-    std::uint16_t back[kN];
-    fp::narrowToHalfBits(wide, back, kN);
-    for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t i = 0; i < kN; ++i)
         EXPECT_EQ(floatBits(wide[i]),
                   floatBits(fp::Half::fromBits(halves[i]).toFloat()));
-        EXPECT_EQ(back[i], fp::Half(wide[i]).bits());
-    }
     float bwide[kN];
     fp::widenBf16Bits(halves, bwide, kN);
-    std::uint16_t bback[kN];
-    fp::narrowToBf16Bits(bwide, bback, kN);
-    for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t i = 0; i < kN; ++i)
         EXPECT_EQ(floatBits(bwide[i]),
                   floatBits(fp::BFloat16::fromBits(halves[i]).toFloat()));
-        EXPECT_EQ(bback[i], fp::BFloat16(bwide[i]).bits());
-    }
 }
 
 } // namespace
