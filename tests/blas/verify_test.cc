@@ -64,8 +64,31 @@ TEST_P(VerifyAllCombos, NonSquareNonMultiplePasses)
     EXPECT_TRUE(result.passed) << result.detail;
 }
 
+TEST_P(VerifyAllCombos, BatchedConfigsCheckCappedEntriesInBothSchemes)
+{
+    for (const VerifyScheme scheme :
+         {VerifyScheme::PaperOnesIdentity, VerifyScheme::Random}) {
+        GemmConfig cfg = squareConfig(GetParam(), 40, 0.5, 2.0);
+        cfg.batchCount = 6;
+        const VerifyResult batched = verifyGemm(cfg, scheme, 77);
+        EXPECT_TRUE(batched.passed) << batched.detail;
+        EXPECT_EQ(batched.batchEntries, kMaxVerifyBatchEntries);
+        EXPECT_NE(batched.detail.find("batch 4 (of 6)"), std::string::npos)
+            << batched.detail;
+        EXPECT_NE(batched.detail.find("strided-batched"), std::string::npos)
+            << batched.detail;
+
+        cfg.batchCount = 1;
+        const VerifyResult single = verifyGemm(cfg, scheme, 77);
+        EXPECT_TRUE(single.passed) << single.detail;
+        EXPECT_EQ(single.batchEntries, 1u);
+        EXPECT_EQ(single.detail.find("batch"), std::string::npos)
+            << single.detail;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Combos, VerifyAllCombos, ::testing::ValuesIn(allCombos),
+    Combos, VerifyAllCombos, ::testing::ValuesIn(allLibraryCombos),
     [](const ::testing::TestParamInfo<GemmCombo> &info) {
         return std::string(comboInfo(info.param).name);
     });
