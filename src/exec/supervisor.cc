@@ -2,10 +2,12 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <fcntl.h>
@@ -81,7 +83,8 @@ parsePositiveDouble(const std::string &text, double &out)
 {
     char *end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || v <= 0.0)
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v) ||
+        v <= 0.0)
         return false;
     out = v;
     return true;
@@ -147,7 +150,8 @@ SuitePlan::parse(const std::string &text)
             } else if (key == "attempts") {
                 char *end = nullptr;
                 const long v = std::strtol(value.c_str(), &end, 10);
-                ok = end != value.c_str() && *end == '\0' && v >= 1;
+                ok = end != value.c_str() && *end == '\0' && v >= 1 &&
+                     v <= std::numeric_limits<int>::max();
                 bench.maxAttempts = static_cast<int>(v);
             } else if (key == "out") {
                 ok = !value.empty();

@@ -133,6 +133,11 @@ TEST(SuitePlan, RejectsMalformedLinesWithLineNumbers)
         "bench : ./prog\n",                        // empty name
         "bench x :\n",                             // empty command
         "bench x deadline=soon : ./prog\n",        // bad number
+        "bench x deadline=nan : ./prog\n",         // not finite
+        "bench x deadline=inf : ./prog\n",
+        "bench x deadline=1e400 : ./prog\n",       // overflows to inf
+        "bench x attempts=99999999999 : ./prog\n", // beyond INT_MAX
+        "bench x attempts=4294967295 : ./prog\n",
         "run x : ./prog\n",                        // unknown directive
         "bench dup : ./a\nbench dup : ./b\n",      // duplicate name
     };
