@@ -2,21 +2,18 @@
  * @file
  * True strided-batched drivers over the fast functional-GEMM backend.
  *
- * The simulated device has modeled strided-batched GEMM since the
- * batched extension study (bench/ext_batched_gemm.cc), but the host
- * *functional* path used to verify those runs executed batch entries
- * as fully independent GEMM calls — re-staging every operand per
- * entry. These drivers implement the real thing: an operand whose
- * stride is zero (the batched-attention weight case, and rocBLAS's
- * strideA/strideB = 0 broadcast convention) is staged exactly once,
- * and every entry then fans out over the existing row-block
- * parallelism of blockedGemmCore. Nonzero-stride operands stage per
- * entry through the same PackCache/ScratchArena machinery as the
- * single-call entry points, so repeated weights across entries (or
- * across calls) still hit the cache.
+ * These are the host functional path's only drivers: referenceGemm
+ * and tiledMatrixCoreGemm (functional.hh) are batches of one through
+ * them. An operand whose stride is zero (the batched-attention weight
+ * case, and rocBLAS's strideA/strideB = 0 broadcast convention) is
+ * staged exactly once, and every entry then fans out over the
+ * row-block parallelism of blockedGemmCore. Nonzero-stride operands
+ * stage per entry through the PackCache/ScratchArena machinery, so
+ * repeated weights across entries (or across calls) still hit the
+ * cache.
  *
- * Bit-exactness: entry e computes exactly what fastReferenceGemm (or
- * fastTiledMatrixCoreGemm) computes on the e-th operand slices — same
+ * Bit-exactness: entry e computes exactly what referenceGemm (or
+ * tiledMatrixCoreGemm) computes on the e-th operand slices — same
  * staged bytes, same blocked core, same accumulation order — so the
  * batched drivers are memcmp-identical to a loop of single calls for
  * every tier, thread count, and cache setting
@@ -26,6 +23,7 @@
 #ifndef MC_BLAS_BATCHED_GEMM_HH
 #define MC_BLAS_BATCHED_GEMM_HH
 
+#include "arch/mfma_isa.hh"
 #include "blas/fast_gemm.hh"
 
 namespace mc {
@@ -92,7 +90,7 @@ batchedGemmImpl(std::size_t batch, double alpha, const TAB *a,
  * @p stride_a/@p stride_b/@p stride_c/@p stride_d (a zero operand
  * stride broadcasts — and stages — one matrix across the batch; C and
  * D strides must be nonzero for batch > 1). Bit-identical per entry to
- * fastReferenceGemm.
+ * scalarReferenceGemm.
  */
 template <typename TCD, typename TAB, typename TAcc>
 void
@@ -109,9 +107,9 @@ fastBatchedGemm(std::size_t batch, double alpha, const TAB *a,
 }
 
 /**
- * Strided-batched equivalent of fastTiledMatrixCoreGemm: k zero-padded
- * to the instruction's k multiple, no per-step rounding. Bit-identical
- * per entry to fastTiledMatrixCoreGemm.
+ * Strided-batched tiled Matrix Core GEMM: k zero-padded to the
+ * instruction's k multiple, no per-step rounding. Bit-identical per
+ * entry to scalarTiledMatrixCoreGemm.
  */
 template <typename TCD, typename TAB, typename TAcc>
 void

@@ -19,12 +19,6 @@ template void axpyPanel<float>(const float *, const float *, std::size_t,
 template void axpyPanel<double>(const double *, const double *,
                                 std::size_t, std::size_t, double *,
                                 std::size_t);
-template void axpyPanelSub<float>(const float *, const float *,
-                                  std::size_t, std::size_t, float *,
-                                  std::size_t);
-template void axpyPanelSub<double>(const double *, const double *,
-                                   std::size_t, std::size_t, double *,
-                                   std::size_t);
 template void axpyPanelRound<fp::Half, float>(const float *, const float *,
                                               std::size_t, std::size_t,
                                               float *, std::size_t);

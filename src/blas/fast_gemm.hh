@@ -2,7 +2,10 @@
  * @file
  * The fast functional-GEMM backend: cache-blocked, operand-packing,
  * optionally multi-threaded numeric kernels that are *bit-identical*
- * to the scalar reference loops in functional.hh.
+ * to the scalar reference loops in functional.hh. Its one driver is
+ * detail::batchedGemmImpl (batched_gemm.hh), which stages operands
+ * through stageWidened and runs blockedGemmCore below; referenceGemm
+ * and tiledMatrixCoreGemm are batches of one through it.
  *
  * The bit-exactness invariant, and why blocking preserves it
  * ----------------------------------------------------------
@@ -52,13 +55,11 @@
 #include <memory>
 #include <type_traits>
 
-#include "arch/mfma_isa.hh"
 #include "blas/gemm_types.hh"
 #include "blas/pack_cache.hh"
 #include "blas/scratch_arena.hh"
 #include "blas/simd_kernels.hh"
 #include "common/logging.hh"
-#include "common/matrix.hh"
 #include "exec/thread_pool.hh"
 #include "fp/traits.hh"
 
@@ -114,20 +115,6 @@ axpyPanel(const T *arow, const T *bpanel, std::size_t ldb, std::size_t nk,
     }
 }
 
-/** axpyPanel with subtraction: the TRSM update term. */
-template <typename T>
-void
-axpyPanelSub(const T *arow, const T *bpanel, std::size_t ldb,
-             std::size_t nk, T *accs, std::size_t nj)
-{
-    for (std::size_t kk = 0; kk < nk; ++kk) {
-        const T av = arow[kk];
-        const T *brow = bpanel + kk * ldb;
-        for (std::size_t j = 0; j < nj; ++j)
-            accs[j] -= av * brow[j];
-    }
-}
-
 /**
  * axpyPanel with the reduced-precision FMA-chain semantics: after
  * every multiply-add the accumulator is rounded to TNarrow and widened
@@ -158,12 +145,6 @@ extern template void axpyPanel<float>(const float *, const float *,
 extern template void axpyPanel<double>(const double *, const double *,
                                        std::size_t, std::size_t, double *,
                                        std::size_t);
-extern template void axpyPanelSub<float>(const float *, const float *,
-                                         std::size_t, std::size_t, float *,
-                                         std::size_t);
-extern template void axpyPanelSub<double>(const double *, const double *,
-                                          std::size_t, std::size_t,
-                                          double *, std::size_t);
 extern template void axpyPanelRound<fp::Half, float>(const float *,
                                                      const float *,
                                                      std::size_t,
@@ -392,81 +373,6 @@ blockedGemmCore(std::size_t m, std::size_t n, std::size_t k, double alpha,
 }
 
 } // namespace detail
-
-/**
- * Blocked/packed/threaded D = alpha*A*B + beta*C with referenceGemm's
- * exact semantics (see the file comment): the result is bit-identical
- * to the scalar loop for every shape, every option setting, and every
- * thread count.
- */
-template <typename TCD, typename TAB, typename TAcc>
-void
-fastReferenceGemm(double alpha, const Matrix<TAB> &a, const Matrix<TAB> &b,
-                  double beta, const Matrix<TCD> &c, Matrix<TCD> &d,
-                  bool round_each_step = false,
-                  const FunctionalGemmOptions &opts = FunctionalGemmOptions())
-{
-    const std::size_t m = a.rows();
-    const std::size_t k = a.cols();
-    const std::size_t n = b.cols();
-    mc_assert(b.rows() == k, "GEMM inner dimensions disagree");
-    mc_assert(c.rows() == m && c.cols() == n, "C shape mismatch");
-    mc_assert(d.rows() == m && d.cols() == n, "D shape mismatch");
-
-    const FunctionalGemmOptions ropts = resolveFunctionalOptions(
-        opts, comboForTypes<TCD, TAB, TAcc>(round_each_step), n);
-    const SimdKernels &ker = simdKernelsFor(ropts.simd);
-    ScratchArena::Frame scratch;
-    std::shared_ptr<const PackEntry> keep_a, keep_b;
-    const TAcc *pa = detail::stageWidened<TAB, TAcc>(
-        PackKind::WidenA, a.data(), m, k, k, ker, scratch, keep_a);
-    const TAcc *pb = detail::stageWidened<TAB, TAcc>(
-        PackKind::WidenB, b.data(), k, n, k, ker, scratch, keep_b);
-    detail::blockedGemmCore<TCD, TAcc>(m, n, k, alpha, pa, k, pb, n, beta,
-                                       c.data(), d.data(), n,
-                                       round_each_step, ropts);
-}
-
-/**
- * Blocked/packed/threaded equivalent of tiledMatrixCoreGemm: the k
- * dimension is zero-padded to a multiple of the instruction's k (the
- * executeMfma dataflow chains whole k-slices, and the padding's
- * +0.0 products are part of its accumulation sequence), then the same
- * blocked driver runs without per-step rounding. Bit-identical to the
- * scalar tiled path.
- */
-template <typename TCD, typename TAB, typename TAcc>
-void
-fastTiledMatrixCoreGemm(const arch::MfmaInstruction &inst, double alpha,
-                        const Matrix<TAB> &a, const Matrix<TAB> &b,
-                        double beta, const Matrix<TCD> &c, Matrix<TCD> &d,
-                        const FunctionalGemmOptions &opts =
-                            FunctionalGemmOptions())
-{
-    mc_assert(inst.shape.blocks == 1,
-              "the tiled path uses single-block instructions");
-    const std::size_t m = a.rows();
-    const std::size_t k = a.cols();
-    const std::size_t n = b.cols();
-    mc_assert(b.rows() == k, "GEMM inner dimensions disagree");
-    mc_assert(c.rows() == m && c.cols() == n, "C shape mismatch");
-    mc_assert(d.rows() == m && d.cols() == n, "D shape mismatch");
-
-    const std::size_t tk = static_cast<std::size_t>(inst.shape.k);
-    const std::size_t kpad = (k + tk - 1) / tk * tk;
-    const FunctionalGemmOptions ropts = resolveFunctionalOptions(
-        opts, comboForTypes<TCD, TAB, TAcc>(false), n);
-    const SimdKernels &ker = simdKernelsFor(ropts.simd);
-    ScratchArena::Frame scratch;
-    std::shared_ptr<const PackEntry> keep_a, keep_b;
-    const TAcc *pa = detail::stageWidened<TAB, TAcc>(
-        PackKind::WidenA, a.data(), m, k, kpad, ker, scratch, keep_a);
-    const TAcc *pb = detail::stageWidened<TAB, TAcc>(
-        PackKind::WidenB, b.data(), k, n, kpad, ker, scratch, keep_b);
-    detail::blockedGemmCore<TCD, TAcc>(m, n, kpad, alpha, pa, kpad, pb, n,
-                                       beta, c.data(), d.data(), n,
-                                       /*round_each_step=*/false, ropts);
-}
 
 } // namespace blas
 } // namespace mc

@@ -12,7 +12,8 @@
  *    the alpha/beta scaling applied afterwards in the compute type,
  *    exactly as the library kernel does it.
  *
- * Both public entry points route through the blocked/packed/threaded
+ * Both public entry points are a batch of one through the strided-
+ * batched driver (batched_gemm.hh) over the blocked/packed/threaded
  * backend in fast_gemm.hh, which is bit-identical to the scalar loops
  * retained here as scalarReferenceGemm / scalarTiledMatrixCoreGemm
  * (the baseline the bit-exactness suite and mc_perf compare against).
@@ -26,7 +27,7 @@
 
 #include "arch/mfma_exec.hh"
 #include "arch/mfma_isa.hh"
-#include "blas/fast_gemm.hh"
+#include "blas/batched_gemm.hh"
 #include "common/logging.hh"
 #include "common/matrix.hh"
 #include "fp/traits.hh"
@@ -84,9 +85,10 @@ scalarReferenceGemm(double alpha, const Matrix<TAB> &a,
 }
 
 /**
- * Reference GEMM entry point: fastReferenceGemm's blocked/packed/
- * threaded execution of the scalarReferenceGemm semantics (the two are
- * bit-identical; @p opts only tunes speed, or forces the scalar loop).
+ * Reference GEMM entry point: a batch of one through the blocked/
+ * packed/threaded strided-batched driver (batched_gemm.hh), which is
+ * bit-identical to scalarReferenceGemm for every shape, option setting
+ * and thread count (@p opts only tunes speed).
  */
 template <typename TCD, typename TAB, typename TAcc>
 void
@@ -95,20 +97,22 @@ referenceGemm(double alpha, const Matrix<TAB> &a, const Matrix<TAB> &b,
               bool round_each_step = false,
               const FunctionalGemmOptions &opts = FunctionalGemmOptions())
 {
-    if (opts.forceScalar) {
-        scalarReferenceGemm<TCD, TAB, TAcc>(alpha, a, b, beta, c, d,
-                                            round_each_step);
-        return;
-    }
-    fastReferenceGemm<TCD, TAB, TAcc>(alpha, a, b, beta, c, d,
-                                      round_each_step, opts);
+    const std::size_t m = a.rows();
+    const std::size_t k = a.cols();
+    const std::size_t n = b.cols();
+    mc_assert(b.rows() == k, "GEMM inner dimensions disagree");
+    mc_assert(c.rows() == m && c.cols() == n, "C shape mismatch");
+    mc_assert(d.rows() == m && d.cols() == n, "D shape mismatch");
+    fastBatchedGemm<TCD, TAB, TAcc>(1, alpha, a.data(), 0, b.data(), 0,
+                                    beta, c.data(), 0, d.data(), 0, m, n,
+                                    k, round_each_step, opts);
 }
 
 /**
  * Scalar tiled Matrix Core GEMM: pad to the instruction shape,
  * accumulate each 16x16 (or instruction-shaped) output tile across K
  * through executeMfma in @p TAcc precision, then apply the alpha/beta
- * pass. Kept as the ground truth for fastTiledMatrixCoreGemm.
+ * pass. Kept as the ground truth for tiledMatrixCoreGemm.
  *
  * @tparam TAcc the Matrix Core accumulator type for this input type
  *         (float for f16/bf16/f32 inputs, double for f64).
@@ -181,9 +185,12 @@ scalarTiledMatrixCoreGemm(const arch::MfmaInstruction &inst, double alpha,
 }
 
 /**
- * Tiled Matrix Core GEMM entry point: the fast backend's execution of
- * the scalarTiledMatrixCoreGemm dataflow (bit-identical; @p opts only
- * tunes speed, or forces the scalar tile loop).
+ * Tiled Matrix Core GEMM entry point: a batch of one through the
+ * strided-batched driver, which executes the scalarTiledMatrixCoreGemm
+ * dataflow bit-identically (k zero-padded to the instruction's k
+ * multiple — the executeMfma chain consumes whole k-slices, and the
+ * padding's +0.0 products are part of its accumulation sequence — and
+ * no per-step rounding; @p opts only tunes speed).
  */
 template <typename TCD, typename TAB, typename TAcc>
 void
@@ -193,13 +200,15 @@ tiledMatrixCoreGemm(const arch::MfmaInstruction &inst, double alpha,
                     const FunctionalGemmOptions &opts =
                         FunctionalGemmOptions())
 {
-    if (opts.forceScalar) {
-        scalarTiledMatrixCoreGemm<TCD, TAB, TAcc>(inst, alpha, a, b, beta,
-                                                  c, d);
-        return;
-    }
-    fastTiledMatrixCoreGemm<TCD, TAB, TAcc>(inst, alpha, a, b, beta, c, d,
-                                            opts);
+    const std::size_t m = a.rows();
+    const std::size_t k = a.cols();
+    const std::size_t n = b.cols();
+    mc_assert(b.rows() == k, "GEMM inner dimensions disagree");
+    mc_assert(c.rows() == m && c.cols() == n, "C shape mismatch");
+    mc_assert(d.rows() == m && d.cols() == n, "D shape mismatch");
+    fastBatchedTiledMatrixCoreGemm<TCD, TAB, TAcc>(
+        inst, 1, alpha, a.data(), 0, b.data(), 0, beta, c.data(), 0,
+        d.data(), 0, m, n, k, opts);
 }
 
 } // namespace blas

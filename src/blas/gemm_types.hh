@@ -180,9 +180,6 @@ struct FunctionalGemmOptions
     int blockN = 0;
     /** Depth of one k-panel; 0 = auto. */
     int blockK = 0;
-    /** Route through the retained scalar kernels instead (the
-     *  bit-exactness baseline; also what mc_perf times as "old"). */
-    bool forceScalar = false;
     /** SIMD micro-kernel tier. Auto defers to the MC_SIMD environment
      *  override, then to the best tier the CPU supports. Results are
      *  bit-identical across tiers — this knob trades speed (and aids

@@ -20,14 +20,14 @@ validateQuantShapes(std::size_t m, std::size_t n, std::size_t k,
                     const QuantParams &qp)
 {
     mc_assert(k <= kMaxQuantizedK,
-              "quantizedGemm: k beyond the int32 accumulator bound");
+              "quantized GEMM: k beyond the int32 accumulator bound");
     mc_assert(std::isfinite(qp.scaleA) && qp.scaleA > 0.0f &&
                   std::isfinite(qp.scaleB) && qp.scaleB > 0.0f &&
                   std::isfinite(qp.scaleD) && qp.scaleD > 0.0f,
-              "quantizedGemm: scales must be positive and finite");
+              "quantized GEMM: scales must be positive and finite");
     mc_assert(qp.zeroA >= -128 && qp.zeroA <= 127 && qp.zeroB >= -128 &&
                   qp.zeroB <= 127 && qp.zeroD >= -128 && qp.zeroD <= 127,
-              "quantizedGemm: zero points must lie in int8 range");
+              "quantized GEMM: zero points must lie in int8 range");
     (void)m;
     (void)n;
 }
@@ -38,11 +38,11 @@ validateQuantProblem(const Matrix<std::int8_t> &a,
                      const Matrix<std::int8_t> &c,
                      const Matrix<std::int8_t> &d, const QuantParams &qp)
 {
-    mc_assert(b.rows() == a.cols(), "quantizedGemm: A/B depth mismatch");
+    mc_assert(b.rows() == a.cols(), "quantized GEMM: A/B depth mismatch");
     mc_assert(c.rows() == a.rows() && c.cols() == b.cols(),
-              "quantizedGemm: C shape mismatch");
+              "quantized GEMM: C shape mismatch");
     mc_assert(d.rows() == a.rows() && d.cols() == b.cols(),
-              "quantizedGemm: D shape mismatch");
+              "quantized GEMM: D shape mismatch");
     validateQuantShapes(a.rows(), b.cols(), a.cols(), qp);
 }
 
@@ -231,7 +231,7 @@ quantizedCore(std::size_t m, std::size_t n, std::size_t k, std::size_t kp,
                     mc_assert(
                         acc >= std::numeric_limits<std::int32_t>::min() &&
                             acc <= std::numeric_limits<std::int32_t>::max(),
-                        "quantizedGemm: corrected accumulator overflow");
+                        "quantized GEMM: corrected accumulator overflow");
                     d[i * n + col] =
                         requantizeI8(static_cast<std::int32_t>(acc), eff,
                                      beta, c[i * n + col], qp);
@@ -291,9 +291,9 @@ fastBatchedQuantizedGemm(std::size_t batch, double alpha,
 {
     validateQuantShapes(m, n, k, qp);
     mc_assert(stride_c != 0 || batch <= 1,
-              "batched quantizedGemm: C entries may not alias");
+              "batched quantized GEMM: C entries may not alias");
     mc_assert(stride_d != 0 || batch <= 1,
-              "batched quantizedGemm: D entries may not alias");
+              "batched quantized GEMM: D entries may not alias");
 
     const FunctionalGemmOptions res =
         resolveFunctionalOptions(opts, GemmCombo::I8gemm, n);
@@ -338,18 +338,6 @@ fastBatchedQuantizedGemm(std::size_t batch, double alpha,
         quantizedCore(m, n, k, kp, alpha, staged, beta, c + e * stride_c,
                       d + e * stride_d, qp, ker, res);
     }
-}
-
-void
-quantizedGemm(double alpha, const Matrix<std::int8_t> &a,
-              const Matrix<std::int8_t> &b, double beta,
-              const Matrix<std::int8_t> &c, Matrix<std::int8_t> &d,
-              const QuantParams &qp, const FunctionalGemmOptions &opts)
-{
-    if (opts.forceScalar)
-        scalarQuantizedGemm(alpha, a, b, beta, c, d, qp);
-    else
-        fastQuantizedGemm(alpha, a, b, beta, c, d, qp, opts);
 }
 
 } // namespace blas

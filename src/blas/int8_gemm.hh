@@ -113,13 +113,6 @@ void fastBatchedQuantizedGemm(std::size_t batch, double alpha,
                               const QuantParams &qp,
                               const FunctionalGemmOptions &opts = {});
 
-/** Dispatch on opts.forceScalar, like referenceGemm for the floats. */
-void quantizedGemm(double alpha, const Matrix<std::int8_t> &a,
-                   const Matrix<std::int8_t> &b, double beta,
-                   const Matrix<std::int8_t> &c, Matrix<std::int8_t> &d,
-                   const QuantParams &qp,
-                   const FunctionalGemmOptions &opts = {});
-
 } // namespace blas
 } // namespace mc
 

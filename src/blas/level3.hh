@@ -9,17 +9,14 @@
  * both onto Matrix Cores through the same tiling machinery as GEMM
  * (TRSM via blocked diagonal inversion plus GEMM updates), so the
  * planner here models them as GEMM-equivalent Matrix Core work with
- * the triangular-shape discount.
+ * the triangular-shape discount. Level3Engine runs them (and GEMV) on
+ * the simulated device only; there is no host numeric implementation.
  */
 
 #ifndef MC_BLAS_LEVEL3_HH
 #define MC_BLAS_LEVEL3_HH
 
-#include <vector>
-
-#include "blas/fast_gemm.hh"
 #include "blas/gemm.hh"
-#include "common/matrix.hh"
 
 namespace mc {
 namespace blas {
@@ -128,238 +125,6 @@ class Level3Engine
   private:
     GemmEngine &_engine;
 };
-
-// ---- Functional host implementations (all combos' storage types) -------
-
-/**
- * Scalar solve of op(A) X = alpha B in place (B becomes X), Side::Left
- * only, non-transposed A. Ground truth for the fast path below.
- *
- * @tparam T scalar type (float or double).
- */
-template <typename T>
-void
-scalarReferenceTrsmLeft(Fill fill, bool unit_diagonal, double alpha,
-                        const Matrix<T> &a, Matrix<T> &b)
-{
-    mc_assert(a.rows() == a.cols(), "TRSM requires a square A");
-    mc_assert(a.rows() == b.rows(), "TRSM dimension mismatch");
-    const std::size_t m = b.rows();
-    const std::size_t n = b.cols();
-
-    for (std::size_t j = 0; j < n; ++j) {
-        if (fill == Fill::Lower) {
-            for (std::size_t i = 0; i < m; ++i) {
-                T acc = static_cast<T>(alpha) * b(i, j);
-                for (std::size_t kk = 0; kk < i; ++kk)
-                    acc -= a(i, kk) * b(kk, j);
-                b(i, j) = unit_diagonal ? acc : acc / a(i, i);
-            }
-        } else {
-            for (std::size_t ii = m; ii > 0; --ii) {
-                const std::size_t i = ii - 1;
-                T acc = static_cast<T>(alpha) * b(i, j);
-                for (std::size_t kk = i + 1; kk < m; ++kk)
-                    acc -= a(i, kk) * b(kk, j);
-                b(i, j) = unit_diagonal ? acc : acc / a(i, i);
-            }
-        }
-    }
-}
-
-/**
- * Solve op(A) X = alpha B through the fast backend: the scalar
- * forward/back substitution with the j loop innermost (an axpy-with-
- * subtraction over a column panel — the exact per-element term order
- * of scalarReferenceTrsmLeft), column panels fanned across threads.
- * Bit-identical to the scalar kernel; right-hand-side columns are
- * independent, so the split cannot reorder anything.
- */
-template <typename T>
-void
-fastTrsmLeft(Fill fill, bool unit_diagonal, double alpha,
-             const Matrix<T> &a, Matrix<T> &b,
-             const FunctionalGemmOptions &opts = FunctionalGemmOptions())
-{
-    mc_assert(a.rows() == a.cols(), "TRSM requires a square A");
-    mc_assert(a.rows() == b.rows(), "TRSM dimension mismatch");
-    const std::size_t m = b.rows();
-    const std::size_t n = b.cols();
-    const T alpha_t = static_cast<T>(alpha);
-    const T *pa = a.data();
-    T *pb = b.data();
-    const FunctionalGemmOptions ropts = resolveFunctionalOptions(
-        opts, comboForTypes<T, T, T>(false), n);
-    const SimdKernels &kernels = simdKernelsFor(ropts.simd);
-    const auto axpySub = [&kernels, n](const T *arow, const T *bpanel,
-                                       std::size_t nk, T *accs,
-                                       std::size_t nj) {
-        if constexpr (std::is_same_v<T, float>)
-            kernels.axpySubF32(arow, bpanel, n, nk, accs, nj);
-        else if constexpr (std::is_same_v<T, double>)
-            kernels.axpySubF64(arow, bpanel, n, nk, accs, nj);
-        else
-            detail::axpyPanelSub<T>(arow, bpanel, n, nk, accs, nj);
-    };
-
-    exec::parallelChunks(
-        n, static_cast<std::size_t>(ropts.blockN), ropts.threads,
-        [&](std::size_t j0, std::size_t j1) {
-            const std::size_t nj = j1 - j0;
-            ScratchArena::Frame frame;
-            T *accs = frame.alloc<T>(nj);
-            for (std::size_t step = 0; step < m; ++step) {
-                const std::size_t i =
-                    fill == Fill::Lower ? step : m - 1 - step;
-                T *brow = pb + i * n + j0;
-                for (std::size_t j = 0; j < nj; ++j)
-                    accs[j] = alpha_t * brow[j];
-                if (fill == Fill::Lower)
-                    axpySub(pa + i * m, pb + j0, i, accs, nj);
-                else
-                    axpySub(pa + i * m + i + 1, pb + (i + 1) * n + j0,
-                            m - i - 1, accs, nj);
-                const T diag = pa[i * m + i];
-                for (std::size_t j = 0; j < nj; ++j)
-                    brow[j] = unit_diagonal ? accs[j] : accs[j] / diag;
-            }
-        });
-}
-
-/**
- * TRSM entry point, routed through the fast backend (@p opts only
- * tunes speed, or forces the scalar substitution loop).
- */
-template <typename T>
-void
-referenceTrsmLeft(Fill fill, bool unit_diagonal, double alpha,
-                  const Matrix<T> &a, Matrix<T> &b,
-                  const FunctionalGemmOptions &opts = FunctionalGemmOptions())
-{
-    if (opts.forceScalar) {
-        scalarReferenceTrsmLeft(fill, unit_diagonal, alpha, a, b);
-        return;
-    }
-    fastTrsmLeft(fill, unit_diagonal, alpha, a, b, opts);
-}
-
-/**
- * Scalar C = alpha * A * A^T + beta * C on the @p fill triangle of C
- * (the other triangle is left untouched, as BLAS specifies). Ground
- * truth for the fast path below.
- */
-template <typename T>
-void
-scalarReferenceSyrk(Fill fill, double alpha, const Matrix<T> &a,
-                    double beta, Matrix<T> &c)
-{
-    mc_assert(c.rows() == c.cols(), "SYRK requires a square C");
-    mc_assert(a.rows() == c.rows(), "SYRK dimension mismatch");
-    const std::size_t n = c.rows();
-    const std::size_t k = a.cols();
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t j_lo = fill == Fill::Lower ? 0 : i;
-        const std::size_t j_hi = fill == Fill::Lower ? i + 1 : n;
-        for (std::size_t j = j_lo; j < j_hi; ++j) {
-            T acc = T(0);
-            for (std::size_t kk = 0; kk < k; ++kk)
-                acc += a(i, kk) * a(j, kk);
-            c(i, j) = static_cast<T>(alpha) * acc +
-                      static_cast<T>(beta) * c(i, j);
-        }
-    }
-}
-
-/**
- * SYRK through the fast backend: A^T is packed once so the j loop
- * reads contiguously (accs[j] += a(i,kk) * at[kk][j], kk ascending —
- * scalarReferenceSyrk's exact term order), row blocks fanned across
- * threads. Bit-identical to the scalar kernel.
- */
-template <typename T>
-void
-fastSyrk(Fill fill, double alpha, const Matrix<T> &a, double beta,
-         Matrix<T> &c, const FunctionalGemmOptions &opts =
-                           FunctionalGemmOptions())
-{
-    mc_assert(c.rows() == c.cols(), "SYRK requires a square C");
-    mc_assert(a.rows() == c.rows(), "SYRK dimension mismatch");
-    const std::size_t n = c.rows();
-    const std::size_t k = a.cols();
-    const FunctionalGemmOptions ropts = resolveFunctionalOptions(
-        opts, comboForTypes<T, T, T>(false), n);
-    mc_assert(ropts.blockM >= 1 && ropts.blockN >= 1 && ropts.blockK >= 1,
-              "block sizes must be positive");
-    const std::size_t bm = static_cast<std::size_t>(ropts.blockM);
-    const std::size_t bn = static_cast<std::size_t>(ropts.blockN);
-    const std::size_t bk = static_cast<std::size_t>(ropts.blockK);
-    const T alpha_t = static_cast<T>(alpha);
-    const T beta_t = static_cast<T>(beta);
-    const T *pa = a.data();
-    T *pc = c.data();
-
-    // Packed transpose: at[kk * n + j] = a(j, kk), so the inner update
-    // streams rows of "at" exactly like the GEMM kernel streams B. It
-    // lives in the thread-local arena: repeatMeasure-style loops reuse
-    // the same warm block instead of paying a heap round trip per call.
-    ScratchArena::Frame scratch;
-    T *at = scratch.alloc<T>(k * n);
-    for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t kk = 0; kk < k; ++kk)
-            at[kk * n + j] = pa[j * k + kk];
-
-    const SimdKernels &kernels = simdKernelsFor(ropts.simd);
-    const auto axpy = [&kernels, n](const T *arow, const T *bpanel,
-                                    std::size_t nk, T *accs,
-                                    std::size_t nj) {
-        if constexpr (std::is_same_v<T, float>)
-            kernels.axpyF32(arow, bpanel, n, nk, accs, nj);
-        else if constexpr (std::is_same_v<T, double>)
-            kernels.axpyF64(arow, bpanel, n, nk, accs, nj);
-        else
-            detail::axpyPanel<T>(arow, bpanel, n, nk, accs, nj);
-    };
-
-    exec::parallelChunks(n, bm, ropts.threads, [&](std::size_t r0,
-                                                  std::size_t r1) {
-        ScratchArena::Frame frame;
-        T *accs = frame.alloc<T>(bn);
-        for (std::size_t i = r0; i < r1; ++i) {
-            const std::size_t j_lo = fill == Fill::Lower ? 0 : i;
-            const std::size_t j_hi = fill == Fill::Lower ? i + 1 : n;
-            for (std::size_t j0 = j_lo; j0 < j_hi; j0 += bn) {
-                const std::size_t nj = std::min(bn, j_hi - j0);
-                std::fill_n(accs, nj, T(0));
-                for (std::size_t k0 = 0; k0 < k; k0 += bk) {
-                    const std::size_t nk = std::min(bk, k - k0);
-                    axpy(pa + i * k + k0, at + k0 * n + j0, nk,
-                         accs, nj);
-                }
-                T *crow = pc + i * n + j0;
-                for (std::size_t j = 0; j < nj; ++j)
-                    crow[j] = alpha_t * accs[j] + beta_t * crow[j];
-            }
-        }
-    });
-}
-
-/**
- * SYRK entry point, routed through the fast backend (@p opts only
- * tunes speed, or forces the scalar loop).
- */
-template <typename T>
-void
-referenceSyrk(Fill fill, double alpha, const Matrix<T> &a, double beta,
-              Matrix<T> &c, const FunctionalGemmOptions &opts =
-                                FunctionalGemmOptions())
-{
-    if (opts.forceScalar) {
-        scalarReferenceSyrk(fill, alpha, a, beta, c);
-        return;
-    }
-    fastSyrk(fill, alpha, a, beta, c, opts);
-}
 
 } // namespace blas
 } // namespace mc

@@ -87,7 +87,6 @@ makePlanKey(const GemmConfig &config, const PlannerOptions &opts,
     bits = hashCombine(bits, static_cast<std::uint64_t>(func.blockM));
     bits = hashCombine(bits, static_cast<std::uint64_t>(func.blockN));
     bits = hashCombine(bits, static_cast<std::uint64_t>(func.blockK));
-    bits = hashCombine(bits, func.forceScalar ? 1u : 0u);
     bits = hashCombine(bits, static_cast<std::uint64_t>(func.simd));
     key.funcBits = bits;
     key.tuneFingerprint = tune_fingerprint;

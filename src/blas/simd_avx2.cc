@@ -33,14 +33,12 @@ struct Avx2Ops
     static void storeF(float *p, VF v) { _mm256_storeu_ps(p, v); }
     static VF set1F(float v) { return _mm256_set1_ps(v); }
     static VF addF(VF a, VF b) { return _mm256_add_ps(a, b); }
-    static VF subF(VF a, VF b) { return _mm256_sub_ps(a, b); }
     static VF mulF(VF a, VF b) { return _mm256_mul_ps(a, b); }
 
     static VD loadD(const double *p) { return _mm256_loadu_pd(p); }
     static void storeD(double *p, VD v) { _mm256_storeu_pd(p, v); }
     static VD set1D(double v) { return _mm256_set1_pd(v); }
     static VD addD(VD a, VD b) { return _mm256_add_pd(a, b); }
-    static VD subD(VD a, VD b) { return _mm256_sub_pd(a, b); }
     static VD mulD(VD a, VD b) { return _mm256_mul_pd(a, b); }
 
     static VI set1I(int v) { return _mm256_set1_epi32(v); }

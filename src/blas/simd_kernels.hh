@@ -33,7 +33,7 @@ namespace blas {
  */
 struct SimdKernels
 {
-    /** accs[j] (+=|-=) arow[kk] * bpanel[kk*ldb + j], kk ascending. */
+    /** accs[j] += arow[kk] * bpanel[kk*ldb + j], kk ascending. */
     using AxpyF32 = void (*)(const float *arow, const float *bpanel,
                              std::size_t ldb, std::size_t nk, float *accs,
                              std::size_t nj);
@@ -46,13 +46,11 @@ struct SimdKernels
 
     SimdTier tier = SimdTier::Scalar;
     AxpyF32 axpyF32 = nullptr;
-    AxpyF32 axpySubF32 = nullptr;
     /** The round_each_step HGEMM chain: after every mul+add the
      *  accumulator is rounded to binary16 (software-Half-exact RNE)
      *  and widened back. */
     AxpyF32 axpyRoundHalfF32 = nullptr;
     AxpyF64 axpyF64 = nullptr;
-    AxpyF64 axpySubF64 = nullptr;
     WidenFn widenHalfToF32 = nullptr;
     WidenFn widenBf16ToF32 = nullptr;
 };
@@ -60,8 +58,8 @@ struct SimdKernels
 /** The kernel table of a *resolved* tier (asserts tier != Auto). */
 const SimdKernels &simdKernels(SimdTier resolved);
 
-/** resolveSimdTier + simdKernels in one call — what the GEMM driver,
- *  TRSM/SYRK and the packing paths use. */
+/** resolveSimdTier + simdKernels in one call — what the GEMM driver
+ *  and the packing paths use. */
 const SimdKernels &simdKernelsFor(SimdTier requested);
 
 namespace detail {

@@ -32,14 +32,12 @@ struct NeonOps
     static void storeF(float *p, VF v) { vst1q_f32(p, v); }
     static VF set1F(float v) { return vdupq_n_f32(v); }
     static VF addF(VF a, VF b) { return vaddq_f32(a, b); }
-    static VF subF(VF a, VF b) { return vsubq_f32(a, b); }
     static VF mulF(VF a, VF b) { return vmulq_f32(a, b); }
 
     static VD loadD(const double *p) { return vld1q_f64(p); }
     static void storeD(double *p, VD v) { vst1q_f64(p, v); }
     static VD set1D(double v) { return vdupq_n_f64(v); }
     static VD addD(VD a, VD b) { return vaddq_f64(a, b); }
-    static VD subD(VD a, VD b) { return vsubq_f64(a, b); }
     static VD mulD(VD a, VD b) { return vmulq_f64(a, b); }
 
     static VI set1I(int v)

@@ -24,13 +24,6 @@ axpyF32(const float *arow, const float *bpanel, std::size_t ldb,
 }
 
 void
-axpySubF32(const float *arow, const float *bpanel, std::size_t ldb,
-           std::size_t nk, float *accs, std::size_t nj)
-{
-    axpyPanelSub<float>(arow, bpanel, ldb, nk, accs, nj);
-}
-
-void
 axpyRoundHalfF32(const float *arow, const float *bpanel, std::size_t ldb,
                  std::size_t nk, float *accs, std::size_t nj)
 {
@@ -44,13 +37,6 @@ axpyF64(const double *arow, const double *bpanel, std::size_t ldb,
     axpyPanel<double>(arow, bpanel, ldb, nk, accs, nj);
 }
 
-void
-axpySubF64(const double *arow, const double *bpanel, std::size_t ldb,
-           std::size_t nk, double *accs, std::size_t nj)
-{
-    axpyPanelSub<double>(arow, bpanel, ldb, nk, accs, nj);
-}
-
 } // namespace
 
 const SimdKernels &
@@ -59,10 +45,8 @@ scalarSimdKernels()
     static const SimdKernels kernels = {
         .tier = SimdTier::Scalar,
         .axpyF32 = axpyF32,
-        .axpySubF32 = axpySubF32,
         .axpyRoundHalfF32 = axpyRoundHalfF32,
         .axpyF64 = axpyF64,
-        .axpySubF64 = axpySubF64,
         .widenHalfToF32 = fp::widenHalfBits,
         .widenBf16ToF32 = fp::widenBf16Bits,
     };

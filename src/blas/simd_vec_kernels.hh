@@ -142,10 +142,9 @@ struct VecKernels
     // ops per mul+add become 1) without touching the bits: element j's
     // accumulator still receives its k-terms one at a time, ascending.
 
-    template <bool Sub>
     static void
-    axpyImplF32(const float *arow, const float *bpanel, std::size_t ldb,
-                std::size_t nk, float *accs, std::size_t nj)
+    axpyF32(const float *arow, const float *bpanel, std::size_t ldb,
+            std::size_t nk, float *accs, std::size_t nj)
     {
         std::size_t j = 0;
         for (; j + 4 * WF <= nj; j += 4 * WF) {
@@ -160,17 +159,10 @@ struct VecKernels
                 const VF p1 = Ops::mulF(av, Ops::loadF(brow + WF));
                 const VF p2 = Ops::mulF(av, Ops::loadF(brow + 2 * WF));
                 const VF p3 = Ops::mulF(av, Ops::loadF(brow + 3 * WF));
-                if constexpr (Sub) {
-                    acc0 = Ops::subF(acc0, p0);
-                    acc1 = Ops::subF(acc1, p1);
-                    acc2 = Ops::subF(acc2, p2);
-                    acc3 = Ops::subF(acc3, p3);
-                } else {
-                    acc0 = Ops::addF(acc0, p0);
-                    acc1 = Ops::addF(acc1, p1);
-                    acc2 = Ops::addF(acc2, p2);
-                    acc3 = Ops::addF(acc3, p3);
-                }
+                acc0 = Ops::addF(acc0, p0);
+                acc1 = Ops::addF(acc1, p1);
+                acc2 = Ops::addF(acc2, p2);
+                acc3 = Ops::addF(acc3, p3);
             }
             Ops::storeF(accs + j, acc0);
             Ops::storeF(accs + j + WF, acc1);
@@ -183,7 +175,7 @@ struct VecKernels
             for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
                 const VF p = Ops::mulF(Ops::set1F(arow[kk]),
                                        Ops::loadF(brow));
-                acc = Sub ? Ops::subF(acc, p) : Ops::addF(acc, p);
+                acc = Ops::addF(acc, p);
             }
             Ops::storeF(accs + j, acc);
         }
@@ -191,19 +183,15 @@ struct VecKernels
             float acc = accs[j];
             const float *brow = bpanel + j;
             for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                if constexpr (Sub)
-                    acc -= arow[kk] * *brow;
-                else
-                    acc += arow[kk] * *brow;
+                acc += arow[kk] * *brow;
             }
             accs[j] = acc;
         }
     }
 
-    template <bool Sub>
     static void
-    axpyImplF64(const double *arow, const double *bpanel, std::size_t ldb,
-                std::size_t nk, double *accs, std::size_t nj)
+    axpyF64(const double *arow, const double *bpanel, std::size_t ldb,
+            std::size_t nk, double *accs, std::size_t nj)
     {
         std::size_t j = 0;
         for (; j + 4 * WD <= nj; j += 4 * WD) {
@@ -218,17 +206,10 @@ struct VecKernels
                 const VD p1 = Ops::mulD(av, Ops::loadD(brow + WD));
                 const VD p2 = Ops::mulD(av, Ops::loadD(brow + 2 * WD));
                 const VD p3 = Ops::mulD(av, Ops::loadD(brow + 3 * WD));
-                if constexpr (Sub) {
-                    acc0 = Ops::subD(acc0, p0);
-                    acc1 = Ops::subD(acc1, p1);
-                    acc2 = Ops::subD(acc2, p2);
-                    acc3 = Ops::subD(acc3, p3);
-                } else {
-                    acc0 = Ops::addD(acc0, p0);
-                    acc1 = Ops::addD(acc1, p1);
-                    acc2 = Ops::addD(acc2, p2);
-                    acc3 = Ops::addD(acc3, p3);
-                }
+                acc0 = Ops::addD(acc0, p0);
+                acc1 = Ops::addD(acc1, p1);
+                acc2 = Ops::addD(acc2, p2);
+                acc3 = Ops::addD(acc3, p3);
             }
             Ops::storeD(accs + j, acc0);
             Ops::storeD(accs + j + WD, acc1);
@@ -241,7 +222,7 @@ struct VecKernels
             for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
                 const VD p = Ops::mulD(Ops::set1D(arow[kk]),
                                        Ops::loadD(brow));
-                acc = Sub ? Ops::subD(acc, p) : Ops::addD(acc, p);
+                acc = Ops::addD(acc, p);
             }
             Ops::storeD(accs + j, acc);
         }
@@ -249,41 +230,10 @@ struct VecKernels
             double acc = accs[j];
             const double *brow = bpanel + j;
             for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                if constexpr (Sub)
-                    acc -= arow[kk] * *brow;
-                else
-                    acc += arow[kk] * *brow;
+                acc += arow[kk] * *brow;
             }
             accs[j] = acc;
         }
-    }
-
-    static void
-    axpyF32(const float *arow, const float *bpanel, std::size_t ldb,
-            std::size_t nk, float *accs, std::size_t nj)
-    {
-        axpyImplF32<false>(arow, bpanel, ldb, nk, accs, nj);
-    }
-
-    static void
-    axpySubF32(const float *arow, const float *bpanel, std::size_t ldb,
-               std::size_t nk, float *accs, std::size_t nj)
-    {
-        axpyImplF32<true>(arow, bpanel, ldb, nk, accs, nj);
-    }
-
-    static void
-    axpyF64(const double *arow, const double *bpanel, std::size_t ldb,
-            std::size_t nk, double *accs, std::size_t nj)
-    {
-        axpyImplF64<false>(arow, bpanel, ldb, nk, accs, nj);
-    }
-
-    static void
-    axpySubF64(const double *arow, const double *bpanel, std::size_t ldb,
-               std::size_t nk, double *accs, std::size_t nj)
-    {
-        axpyImplF64<true>(arow, bpanel, ldb, nk, accs, nj);
     }
 
     /** One f16 round trip per lane, f32(f16(acc)) with Half's RNE:
@@ -390,10 +340,8 @@ makeVecKernels(SimdTier tier)
     return SimdKernels{
         .tier = tier,
         .axpyF32 = K::axpyF32,
-        .axpySubF32 = K::axpySubF32,
         .axpyRoundHalfF32 = K::axpyRoundHalfF32,
         .axpyF64 = K::axpyF64,
-        .axpySubF64 = K::axpySubF64,
         .widenHalfToF32 = K::widenHalf,
         .widenBf16ToF32 = K::widenBf16,
     };

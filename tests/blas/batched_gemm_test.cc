@@ -19,6 +19,7 @@
 
 #include "arch/mfma_isa.hh"
 #include "blas/batched_gemm.hh"
+#include "blas/functional.hh"
 #include "blas/int8_gemm.hh"
 #include "blas/pack_cache.hh"
 #include "blas/simd_dispatch.hh"
@@ -140,8 +141,8 @@ expectBatchedMatchesLoop(const BatchCase &bc, int threads,
         const auto ce =
             sliceMatrix(c.data() + e * bc.m * bc.n, bc.m, bc.n);
         Matrix<TCD> de(bc.m, bc.n);
-        fastReferenceGemm<TCD, TAB, TAcc>(1.25, ae, be, 0.5, ce, de,
-                                          false, opts);
+        referenceGemm<TCD, TAB, TAcc>(1.25, ae, be, 0.5, ce, de,
+                                      false, opts);
         std::memcpy(d_loop.data() + e * bc.m * bc.n, de.data(),
                     bc.m * bc.n * sizeof(TCD));
     }
@@ -205,7 +206,7 @@ TEST_P(BatchedDriverTest, TiledMatrixCoreEntriesMatchSingleCalls)
             const auto ce =
                 sliceMatrix(c.data() + e * bc.m * bc.n, bc.m, bc.n);
             Matrix<float> de(bc.m, bc.n);
-            fastTiledMatrixCoreGemm<float, fp::Half, float>(
+            tiledMatrixCoreGemm<float, fp::Half, float>(
                 *inst, 1.25, ae, be, 0.5, ce, de);
             std::memcpy(d_loop.data() + e * bc.m * bc.n, de.data(),
                         bc.m * bc.n * sizeof(float));

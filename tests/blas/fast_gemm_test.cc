@@ -12,9 +12,7 @@
 
 #include <cstring>
 
-#include "blas/fast_gemm.hh"
 #include "blas/functional.hh"
-#include "blas/level3.hh"
 #include "common/random.hh"
 
 namespace mc {
@@ -89,9 +87,9 @@ expectGemmBitExact(const Shape &s, bool round_each_step)
 
     for (int threads : {1, 2, 8}) {
         Matrix<TCD> d_fast(s.m, s.n);
-        fastReferenceGemm<TCD, TAB, TAcc>(1.25, a, b, -0.5, c, d_fast,
-                                          round_each_step,
-                                          smallBlocks(threads));
+        referenceGemm<TCD, TAB, TAcc>(1.25, a, b, -0.5, c, d_fast,
+                                      round_each_step,
+                                      smallBlocks(threads));
         EXPECT_TRUE(bitIdentical(d_scalar, d_fast))
             << "shape " << s.m << "x" << s.n << "x" << s.k
             << " threads=" << threads
@@ -129,25 +127,6 @@ TEST(FastGemmBitExact, Hss)
         expectGemmBitExact<float, fp::Half, float>(s, false);
 }
 
-/** referenceGemm (the routed wrapper) must agree with forceScalar. */
-TEST(FastGemmBitExact, WrapperRoutesToIdenticalResult)
-{
-    const Shape s{67, 45, 33};
-    Rng rng(0xabc);
-    const auto a = randomMatrix<float>(rng, s.m, s.k);
-    const auto b = randomMatrix<float>(rng, s.k, s.n);
-    const auto c = randomMatrix<float>(rng, s.m, s.n);
-
-    FunctionalGemmOptions scalar_opts;
-    scalar_opts.forceScalar = true;
-    Matrix<float> d_scalar(s.m, s.n), d_fast(s.m, s.n);
-    referenceGemm<float, float, float>(0.1, a, b, 0.1, c, d_scalar,
-                                       false, scalar_opts);
-    referenceGemm<float, float, float>(0.1, a, b, 0.1, c, d_fast, false,
-                                       smallBlocks(4));
-    EXPECT_TRUE(bitIdentical(d_scalar, d_fast));
-}
-
 /** The tiled Matrix Core path: fast blocked core vs scalar tiling,
  *  including the k-padding to a multiple of the instruction shape. */
 TEST(FastGemmBitExact, TiledMatrixCorePath)
@@ -167,9 +146,8 @@ TEST(FastGemmBitExact, TiledMatrixCorePath)
             *inst, 0.1, a, b, 0.1, c, d_scalar);
         for (int threads : {1, 8}) {
             Matrix<float> d_fast(s.m, s.n);
-            fastTiledMatrixCoreGemm<float, fp::Half, float>(
-                *inst, 0.1, a, b, 0.1, c, d_fast,
-                smallBlocks(threads));
+            tiledMatrixCoreGemm<float, fp::Half, float>(
+                *inst, 0.1, a, b, 0.1, c, d_fast, smallBlocks(threads));
             EXPECT_TRUE(bitIdentical(d_scalar, d_fast))
                 << "shape " << s.m << "x" << s.n << "x" << s.k
                 << " threads=" << threads;
@@ -193,62 +171,9 @@ TEST(FastGemmBitExact, TiledMatrixCorePathDouble)
     Matrix<double> d_scalar(s.m, s.n), d_fast(s.m, s.n);
     scalarTiledMatrixCoreGemm<double, double, double>(*inst, 0.1, a, b,
                                                       0.1, c, d_scalar);
-    fastTiledMatrixCoreGemm<double, double, double>(*inst, 0.1, a, b,
-                                                    0.1, c, d_fast,
-                                                    smallBlocks(2));
+    tiledMatrixCoreGemm<double, double, double>(*inst, 0.1, a, b, 0.1, c,
+                                                d_fast, smallBlocks(2));
     EXPECT_TRUE(bitIdentical(d_scalar, d_fast));
-}
-
-TEST(FastLevel3BitExact, TrsmLowerUpperUnitAndNot)
-{
-    for (const bool lower : {true, false}) {
-        for (const bool unit : {true, false}) {
-            const std::size_t m = 37, n = 21;
-            Rng rng(0x3a0 + (lower ? 1 : 0) + (unit ? 2 : 0));
-            auto a = randomMatrix<double>(rng, m, m);
-            // Keep the diagonal away from zero so the substitution is
-            // well conditioned.
-            for (std::size_t i = 0; i < m; ++i)
-                a(i, i) = 2.0 + a(i, i);
-            const auto b0 = randomMatrix<double>(rng, m, n);
-
-            Matrix<double> b_scalar = b0, b_fast = b0;
-            const Fill fill =
-                lower ? Fill::Lower : Fill::Upper;
-            scalarReferenceTrsmLeft(fill, unit, 0.75, a, b_scalar);
-            for (int threads : {1, 8}) {
-                Matrix<double> b_t = b0;
-                referenceTrsmLeft(fill, unit, 0.75, a, b_t,
-                                  smallBlocks(threads));
-                EXPECT_TRUE(bitIdentical(b_scalar, b_t))
-                    << "lower=" << lower << " unit=" << unit
-                    << " threads=" << threads;
-            }
-            (void)b_fast;
-        }
-    }
-}
-
-TEST(FastLevel3BitExact, SyrkBothFills)
-{
-    for (const bool lower : {true, false}) {
-        const std::size_t n = 41, k = 23;
-        Rng rng(0x5e0 + (lower ? 1 : 0));
-        const auto a = randomMatrix<double>(rng, n, k);
-        const auto c0 = randomMatrix<double>(rng, n, n);
-
-        const Fill fill =
-            lower ? Fill::Lower : Fill::Upper;
-        Matrix<double> c_scalar = c0;
-        scalarReferenceSyrk(fill, -1.0, a, 1.0, c_scalar);
-        for (int threads : {1, 8}) {
-            Matrix<double> c_t = c0;
-            referenceSyrk(fill, -1.0, a, 1.0, c_t,
-                          smallBlocks(threads));
-            EXPECT_TRUE(bitIdentical(c_scalar, c_t))
-                << "lower=" << lower << " threads=" << threads;
-        }
-    }
 }
 
 /** Thread-count invariance at a size where the row-block partition
@@ -262,11 +187,11 @@ TEST(FastGemmBitExact, ThreadCountInvariant)
     const auto c = randomMatrix<fp::Half>(rng, n, n);
 
     Matrix<fp::Half> d1(n, n);
-    fastReferenceGemm<fp::Half, fp::Half, float>(0.1, a, b, 0.1, c, d1,
-                                                 true, smallBlocks(1));
+    referenceGemm<fp::Half, fp::Half, float>(0.1, a, b, 0.1, c, d1, true,
+                                             smallBlocks(1));
     for (int threads : {2, 3, 8}) {
         Matrix<fp::Half> dt(n, n);
-        fastReferenceGemm<fp::Half, fp::Half, float>(
+        referenceGemm<fp::Half, fp::Half, float>(
             0.1, a, b, 0.1, c, dt, true, smallBlocks(threads));
         EXPECT_TRUE(bitIdentical(d1, dt)) << "threads=" << threads;
     }

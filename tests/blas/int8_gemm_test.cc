@@ -185,28 +185,6 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(simdTierName(info.param));
     });
 
-TEST(Int8Gemm, ForceScalarRunsTheReferenceLoops)
-{
-    const QuantParams qp = testQuant();
-    const Shape s{9, 17, 23};
-    Rng rng(0xf0);
-    const auto a = randomI8(rng, s.m, s.k);
-    const auto b = randomI8(rng, s.k, s.n);
-    const auto c = randomI8(rng, s.m, s.n);
-
-    Matrix<std::int8_t> d_ref(s.m, s.n), d_forced(s.m, s.n);
-    scalarQuantizedGemm(1.25, a, b, 0.5, c, d_ref, qp);
-    FunctionalGemmOptions opts;
-    opts.forceScalar = true;
-    quantizedGemm(1.25, a, b, 0.5, c, d_forced, qp, opts);
-    EXPECT_TRUE(bitIdentical(d_ref, d_forced));
-
-    // And the dispatcher's fast side agrees too.
-    Matrix<std::int8_t> d_fast(s.m, s.n);
-    quantizedGemm(1.25, a, b, 0.5, c, d_fast, qp, {});
-    EXPECT_TRUE(bitIdentical(d_ref, d_fast));
-}
-
 // ---- The requantizer ------------------------------------------------------
 
 /** Independent round-to-nearest-even + saturate oracle: spelled with

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests of the TRSM and SYRK routines: functional correctness of the
- * host references and timing-model invariants of the device path.
+ * Tests of the TRSM, SYRK and GEMV routines: timing-model invariants
+ * of the simulated device path.
  */
 
 #include <gtest/gtest.h>
 
 #include "blas/level3.hh"
-#include "common/random.hh"
 
 namespace mc {
 namespace blas {
@@ -19,109 +18,6 @@ quietOptions()
     sim::SimOptions opts;
     opts.enableNoise = false;
     return opts;
-}
-
-Matrix<double>
-randomLowerTriangular(Rng &rng, std::size_t n)
-{
-    Matrix<double> l(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j)
-            l(i, j) = rng.uniform(-1.0, 1.0);
-        l(i, i) = rng.uniform(1.0, 2.0); // well away from zero
-    }
-    return l;
-}
-
-TEST(ReferenceTrsm, LowerSolveInvertsMultiply)
-{
-    Rng rng(401);
-    const std::size_t m = 24, n = 8;
-    const Matrix<double> l = randomLowerTriangular(rng, m);
-    Matrix<double> x_true(m, n), b(m, n);
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            x_true(i, j) = rng.uniform(-1.0, 1.0);
-    // b = L * x_true.
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (std::size_t kk = 0; kk <= i; ++kk)
-                acc += l(i, kk) * x_true(kk, j);
-            b(i, j) = acc;
-        }
-    }
-    referenceTrsmLeft(Fill::Lower, false, 1.0, l, b);
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            EXPECT_NEAR(b(i, j), x_true(i, j), 1e-10);
-}
-
-TEST(ReferenceTrsm, UpperSolveAndAlpha)
-{
-    Rng rng(409);
-    const std::size_t m = 16;
-    Matrix<double> u(m, m);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = i + 1; j < m; ++j)
-            u(i, j) = rng.uniform(-1.0, 1.0);
-        u(i, i) = rng.uniform(1.0, 2.0);
-    }
-    Matrix<double> x_true(m, 4), b(m, 4);
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            x_true(i, j) = rng.uniform(-1.0, 1.0);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            double acc = 0.0;
-            for (std::size_t kk = i; kk < m; ++kk)
-                acc += u(i, kk) * x_true(kk, j);
-            b(i, j) = acc / 2.0; // alpha = 2 scales it back
-        }
-    }
-    referenceTrsmLeft(Fill::Upper, false, 2.0, u, b);
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            EXPECT_NEAR(b(i, j), x_true(i, j), 1e-10);
-}
-
-TEST(ReferenceTrsm, UnitDiagonalSkipsDivision)
-{
-    Matrix<double> l(2, 2);
-    l(0, 0) = 5.0; // must be ignored with unit diagonal
-    l(1, 0) = 2.0;
-    l(1, 1) = 7.0;
-    Matrix<double> b(2, 1);
-    b(0, 0) = 3.0;
-    b(1, 0) = 8.0;
-    referenceTrsmLeft(Fill::Lower, true, 1.0, l, b);
-    EXPECT_DOUBLE_EQ(b(0, 0), 3.0);
-    EXPECT_DOUBLE_EQ(b(1, 0), 8.0 - 2.0 * 3.0);
-}
-
-TEST(ReferenceSyrk, MatchesExplicitProduct)
-{
-    Rng rng(419);
-    const std::size_t n = 12, k = 20;
-    Matrix<double> a(n, k), c(n, n, 1.0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < k; ++j)
-            a(i, j) = rng.uniform(-1.0, 1.0);
-    Matrix<double> c_ref = c;
-    referenceSyrk(Fill::Lower, 0.5, a, 2.0, c);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            if (j > i) {
-                // Upper triangle untouched.
-                EXPECT_DOUBLE_EQ(c(i, j), c_ref(i, j));
-                continue;
-            }
-            double dot = 0.0;
-            for (std::size_t kk = 0; kk < k; ++kk)
-                dot += a(i, kk) * a(j, kk);
-            EXPECT_NEAR(c(i, j), 0.5 * dot + 2.0, 1e-10);
-        }
-    }
 }
 
 class Level3Timing : public ::testing::Test

@@ -252,23 +252,23 @@ TEST_F(PackCacheTest, MutatedOperandNeverServesStalePanels)
     const auto c = randomMatrix<float>(rng, 9, 17);
     Matrix<float> d(9, 17);
 
-    fastReferenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c, d);
+    referenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c, d);
     const PackCacheStats first = PackCache::globalStats();
-    fastReferenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c, d);
+    referenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c, d);
     const PackCacheStats second = PackCache::globalStats();
     EXPECT_GT(second.hits, first.hits);
 
     a(4, 11) = fp::Half(3.25f);
     Matrix<float> d_cached(9, 17);
-    fastReferenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c,
-                                              d_cached);
+    referenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c,
+                                          d_cached);
     const PackCacheStats third = PackCache::globalStats();
     EXPECT_GT(third.misses, second.misses);
 
     PackCache::setEnabled(false);
     Matrix<float> d_fresh(9, 17);
-    fastReferenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c,
-                                              d_fresh);
+    referenceGemm<float, fp::Half, float>(1.5, a, b, 0.25, c,
+                                          d_fresh);
     EXPECT_TRUE(bitIdentical(d_fresh, d_cached));
 }
 
@@ -333,17 +333,17 @@ expectOnOffIdentical(SimdTier tier, const Shape &s, int threads,
 
     PackCache::setEnabled(false);
     Matrix<TCD> d_off(s.m, s.n);
-    fastReferenceGemm<TCD, TAB, TAcc>(1.25, a, b, 0.5, c, d_off,
-                                      round_each_step, opts);
+    referenceGemm<TCD, TAB, TAcc>(1.25, a, b, 0.5, c, d_off,
+                                  round_each_step, opts);
 
     PackCache::setEnabled(true);
     PackCache::instance().clear();
     Matrix<TCD> d_cold(s.m, s.n);
-    fastReferenceGemm<TCD, TAB, TAcc>(1.25, a, b, 0.5, c, d_cold,
-                                      round_each_step, opts);
+    referenceGemm<TCD, TAB, TAcc>(1.25, a, b, 0.5, c, d_cold,
+                                  round_each_step, opts);
     Matrix<TCD> d_warm(s.m, s.n);
-    fastReferenceGemm<TCD, TAB, TAcc>(1.25, a, b, 0.5, c, d_warm,
-                                      round_each_step, opts);
+    referenceGemm<TCD, TAB, TAcc>(1.25, a, b, 0.5, c, d_warm,
+                                  round_each_step, opts);
 
     EXPECT_TRUE(bitIdentical(d_off, d_cold))
         << simdTierName(tier) << " m=" << s.m << " n=" << s.n

@@ -87,10 +87,8 @@ TEST(SimdDispatch, KernelTablesCarryTheirTierAndAreFullyPopulated)
         const SimdKernels &ker = simdKernels(tier);
         EXPECT_EQ(ker.tier, tier) << simdTierName(tier);
         EXPECT_NE(ker.axpyF32, nullptr);
-        EXPECT_NE(ker.axpySubF32, nullptr);
         EXPECT_NE(ker.axpyRoundHalfF32, nullptr);
         EXPECT_NE(ker.axpyF64, nullptr);
-        EXPECT_NE(ker.axpySubF64, nullptr);
         EXPECT_NE(ker.widenHalfToF32, nullptr);
         EXPECT_NE(ker.widenBf16ToF32, nullptr);
     }

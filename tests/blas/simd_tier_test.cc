@@ -18,7 +18,6 @@
 
 #include "blas/fast_gemm.hh"
 #include "blas/functional.hh"
-#include "blas/level3.hh"
 #include "blas/simd_dispatch.hh"
 #include "common/random.hh"
 
@@ -91,8 +90,7 @@ const BlockConfig kBlockConfigs[] = {
 };
 
 FunctionalGemmOptions
-tierOptions(SimdTier tier, int threads,
-            const BlockConfig &blocks = kBlockConfigs[0])
+tierOptions(SimdTier tier, int threads, const BlockConfig &blocks)
 {
     FunctionalGemmOptions opts;
     opts.simd = tier;
@@ -117,13 +115,13 @@ expectTierMatchesScalarTierOn(SimdTier tier, bool round_each_step,
                               const Matrix<TCD> &c)
 {
     Matrix<TCD> d_scalar(c.rows(), c.cols());
-    fastReferenceGemm<TCD, TAB, TAcc>(
+    referenceGemm<TCD, TAB, TAcc>(
         1.25, a, b, -0.5, c, d_scalar, round_each_step,
         tierOptions(SimdTier::Scalar, 1, blocks));
 
     for (int threads : {1, 2, 8}) {
         Matrix<TCD> d_tier(c.rows(), c.cols());
-        fastReferenceGemm<TCD, TAB, TAcc>(
+        referenceGemm<TCD, TAB, TAcc>(
             1.25, a, b, -0.5, c, d_tier, round_each_step,
             tierOptions(tier, threads, blocks));
         EXPECT_TRUE(bitIdentical(d_scalar, d_tier))
@@ -265,56 +263,6 @@ TEST_P(SimdTierTest, Bf16OperandPacking)
                                                             false);
 }
 
-TEST_P(SimdTierTest, TrsmMatchesScalarTier)
-{
-    const SimdTier tier = GetParam();
-    for (const bool lower : {true, false}) {
-        const std::size_t m = 37, n = 43;
-        Rng rng(0x3a0 + (lower ? 1 : 0));
-        auto a = randomMatrix<double>(rng, m, m);
-        for (std::size_t i = 0; i < m; ++i)
-            a(i, i) = 2.0 + a(i, i);
-        const auto b0 = randomMatrix<double>(rng, m, n);
-
-        const Fill fill = lower ? Fill::Lower : Fill::Upper;
-        Matrix<double> b_scalar = b0;
-        referenceTrsmLeft(fill, false, 0.75, a, b_scalar,
-                          tierOptions(SimdTier::Scalar, 1));
-        for (int threads : {1, 8}) {
-            Matrix<double> b_t = b0;
-            referenceTrsmLeft(fill, false, 0.75, a, b_t,
-                              tierOptions(tier, threads));
-            EXPECT_TRUE(bitIdentical(b_scalar, b_t))
-                << "tier=" << simdTierName(tier) << " lower=" << lower
-                << " threads=" << threads;
-        }
-    }
-}
-
-TEST_P(SimdTierTest, SyrkMatchesScalarTier)
-{
-    const SimdTier tier = GetParam();
-    for (const bool lower : {true, false}) {
-        const std::size_t n = 41, k = 23;
-        Rng rng(0x5e0 + (lower ? 1 : 0));
-        const auto a = randomMatrix<double>(rng, n, k);
-        const auto c0 = randomMatrix<double>(rng, n, n);
-
-        const Fill fill = lower ? Fill::Lower : Fill::Upper;
-        Matrix<double> c_scalar = c0;
-        referenceSyrk(fill, -1.0, a, 1.0, c_scalar,
-                      tierOptions(SimdTier::Scalar, 1));
-        for (int threads : {1, 8}) {
-            Matrix<double> c_t = c0;
-            referenceSyrk(fill, -1.0, a, 1.0, c_t,
-                          tierOptions(tier, threads));
-            EXPECT_TRUE(bitIdentical(c_scalar, c_t))
-                << "tier=" << simdTierName(tier) << " lower=" << lower
-                << " threads=" << threads;
-        }
-    }
-}
-
 /** The scalar tier against scalarReferenceGemm on one operand set,
  *  with per-step rounding off and on. */
 void
@@ -328,7 +276,7 @@ expectScalarTierMatchesReference(const Matrix<fp::Half> &a,
         Matrix<fp::Half> d_scalar_tier(c.rows(), c.cols());
         scalarReferenceGemm<fp::Half, fp::Half, float>(
             1.25, a, b, -0.5, c, d_ref, round_each_step);
-        fastReferenceGemm<fp::Half, fp::Half, float>(
+        referenceGemm<fp::Half, fp::Half, float>(
             1.25, a, b, -0.5, c, d_scalar_tier, round_each_step,
             tierOptions(SimdTier::Scalar, 1, blocks));
         EXPECT_TRUE(bitIdentical(d_ref, d_scalar_tier))

@@ -225,8 +225,8 @@ void
 fastGemm(const Operands<Types> &p, Matrix<typename Types::TCD> &d,
          const blas::FunctionalGemmOptions &opts)
 {
-    blas::fastReferenceGemm<typename Types::TCD, typename Types::TAB,
-                            typename Types::TAcc>(
+    blas::referenceGemm<typename Types::TCD, typename Types::TAB,
+                        typename Types::TAcc>(
         kAlpha, p.a, p.b, kBeta, p.c, d, Types::roundEachStep, opts);
 }
 
