@@ -16,14 +16,18 @@
  * batched driver (batched_gemm.hh) over the blocked/packed/threaded
  * backend in fast_gemm.hh, which is bit-identical to the scalar loops
  * retained here as scalarReferenceGemm / scalarTiledMatrixCoreGemm
- * (the baseline the bit-exactness suite and mc_perf compare against).
+ * (the baseline the bit-exactness suite and host verification compare
+ * against).
  * See docs/PERF.md.
  */
 
 #ifndef MC_BLAS_FUNCTIONAL_HH
 #define MC_BLAS_FUNCTIONAL_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <type_traits>
+#include <vector>
 
 #include "arch/mfma_exec.hh"
 #include "arch/mfma_isa.hh"
@@ -36,8 +40,13 @@ namespace mc {
 namespace blas {
 
 /**
- * Scalar reference GEMM: the original triple loop, kept as the
- * semantic ground truth the fast backend must match bit-for-bit.
+ * Scalar reference GEMM, kept as the semantic ground truth the fast
+ * backend must match bit-for-bit: every D(i, j) is one TAcc
+ * accumulator over the products widen(a(i,kk)) * widen(b(kk,j)) in
+ * ascending kk, then alpha/beta in TAcc and one narrowing to TCD.
+ * The k loop is outermost over a row of accumulators per output row,
+ * so each B row is widened once per call (in an n-element buffer,
+ * skipped when TAB already is TAcc); the per-element sum is unchanged.
  *
  * @tparam TCD storage type of C and D.
  * @tparam TAB storage type of A and B.
@@ -60,22 +69,35 @@ scalarReferenceGemm(double alpha, const Matrix<TAB> &a,
     mc_assert(c.rows() == m && c.cols() == n, "C shape mismatch");
     mc_assert(d.rows() == m && d.cols() == n, "D shape mismatch");
 
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            TAcc acc = TAcc(0);
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const TAcc av = static_cast<TAcc>(
-                    fp::NumericTraits<TAB>::widen(a(i, kk)));
-                const TAcc bv = static_cast<TAcc>(
+    std::vector<TAcc> acc(m * n, TAcc(0));
+    std::vector<TAcc> widened(std::is_same_v<TAB, TAcc> ? 0 : n);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        const TAcc *brow;
+        if constexpr (std::is_same_v<TAB, TAcc>) {
+            brow = &b(kk, 0);
+        } else {
+            for (std::size_t j = 0; j < n; ++j)
+                widened[j] = static_cast<TAcc>(
                     fp::NumericTraits<TAB>::widen(b(kk, j)));
-                acc += av * bv;
+            brow = widened.data();
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+            const TAcc av = static_cast<TAcc>(
+                fp::NumericTraits<TAB>::widen(a(i, kk)));
+            TAcc *arow = &acc[i * n];
+            for (std::size_t j = 0; j < n; ++j) {
+                arow[j] += av * brow[j];
                 if (round_each_step) {
-                    acc = static_cast<TAcc>(fp::NumericTraits<TCD>::widen(
-                        TCD(acc)));
+                    arow[j] = static_cast<TAcc>(
+                        fp::NumericTraits<TCD>::widen(TCD(arow[j])));
                 }
             }
+        }
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
             const TAcc scaled =
-                static_cast<TAcc>(alpha) * acc +
+                static_cast<TAcc>(alpha) * acc[i * n + j] +
                 static_cast<TAcc>(beta) *
                     static_cast<TAcc>(
                         fp::NumericTraits<TCD>::widen(c(i, j)));
@@ -112,7 +134,10 @@ referenceGemm(double alpha, const Matrix<TAB> &a, const Matrix<TAB> &b,
  * Scalar tiled Matrix Core GEMM: pad to the instruction shape,
  * accumulate each 16x16 (or instruction-shaped) output tile across K
  * through executeMfma in @p TAcc precision, then apply the alpha/beta
- * pass. Kept as the ground truth for tiledMatrixCoreGemm.
+ * pass. Kept as the ground truth for tiledMatrixCoreGemm. The operand
+ * tiles are gathered already widened to TAcc (widening is exact), so
+ * the MFMA chain runs as executeMfma<TAcc, TAcc> without a widen per
+ * product.
  *
  * @tparam TAcc the Matrix Core accumulator type for this input type
  *         (float for f16/bf16/f32 inputs, double for f64).
@@ -135,14 +160,23 @@ scalarTiledMatrixCoreGemm(const arch::MfmaInstruction &inst, double alpha,
     const int tm = inst.shape.m;
     const int tn = inst.shape.n;
     const int tk = inst.shape.k;
+    const auto widen = [](TAB v) {
+        return static_cast<TAcc>(fp::NumericTraits<TAB>::widen(v));
+    };
 
-    // Zero-padded operand tiles, gathered per (tile, k-slice).
-    std::vector<TAB> a_tile(static_cast<std::size_t>(tm) * tk);
-    std::vector<TAB> b_tile(static_cast<std::size_t>(tk) * tn);
+    // Zero-padded, widened operand tiles, gathered per (tile, k-slice).
+    std::vector<TAcc> a_tile(static_cast<std::size_t>(tm) * tk);
+    std::vector<TAcc> b_tile(static_cast<std::size_t>(tk) * tn);
     std::vector<TAcc> acc_tile(static_cast<std::size_t>(tm) * tn);
     std::vector<TAcc> out_tile(static_cast<std::size_t>(tm) * tn);
 
     for (std::size_t i0 = 0; i0 < m; i0 += tm) {
+        // Tile rows are independent dot products, so a tile past the
+        // last row runs the instruction on its valid rows only (a
+        // sampled-row call is often a fraction of one tile tall).
+        arch::MfmaInstruction rows_inst = inst;
+        rows_inst.shape.m =
+            static_cast<int>(std::min<std::size_t>(tm, m - i0));
         for (std::size_t j0 = 0; j0 < n; j0 += tn) {
             std::fill(acc_tile.begin(), acc_tile.end(), TAcc(0));
             for (std::size_t k0 = 0; k0 < k; k0 += tk) {
@@ -150,19 +184,22 @@ scalarTiledMatrixCoreGemm(const arch::MfmaInstruction &inst, double alpha,
                     for (int kk = 0; kk < tk; ++kk) {
                         const std::size_t gi = i0 + i, gk = k0 + kk;
                         a_tile[static_cast<std::size_t>(i) * tk + kk] =
-                            (gi < m && gk < k) ? a(gi, gk) : TAB(0.0f);
+                            (gi < m && gk < k) ? widen(a(gi, gk))
+                                               : TAcc(0);
                     }
                 }
                 for (int kk = 0; kk < tk; ++kk) {
                     for (int j = 0; j < tn; ++j) {
                         const std::size_t gk = k0 + kk, gj = j0 + j;
                         b_tile[static_cast<std::size_t>(kk) * tn + j] =
-                            (gk < k && gj < n) ? b(gk, gj) : TAB(0.0f);
+                            (gk < k && gj < n) ? widen(b(gk, gj))
+                                               : TAcc(0);
                     }
                 }
-                arch::executeMfma<TAcc, TAB>(inst, a_tile.data(),
-                                             b_tile.data(), acc_tile.data(),
-                                             out_tile.data());
+                arch::executeMfma<TAcc, TAcc>(rows_inst, a_tile.data(),
+                                              b_tile.data(),
+                                              acc_tile.data(),
+                                              out_tile.data());
                 acc_tile.swap(out_tile);
             }
             // Alpha/beta pass in the compute (accumulator) type.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "blas/pack_cache.hh"
 #include "blas/scratch_arena.hh"
@@ -254,15 +255,20 @@ scalarQuantizedGemm(double alpha, const Matrix<std::int8_t> &a,
     const std::size_t k = a.cols();
     const std::size_t n = b.cols();
     const double eff = effectiveQuantScale(alpha, qp);
+    // k outermost over a row of accumulators: B is read row-wise, and
+    // each acc(i, j) still sums its products in ascending k.
+    std::vector<std::int32_t> acc(n);
     for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            std::int32_t acc = 0;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                acc += (static_cast<std::int32_t>(a(i, kk)) - qp.zeroA) *
-                       (static_cast<std::int32_t>(b(kk, j)) - qp.zeroB);
-            }
-            d(i, j) = requantizeI8(acc, eff, beta, c(i, j), qp);
+        std::fill(acc.begin(), acc.end(), 0);
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const std::int32_t av =
+                static_cast<std::int32_t>(a(i, kk)) - qp.zeroA;
+            for (std::size_t j = 0; j < n; ++j)
+                acc[j] += av *
+                          (static_cast<std::int32_t>(b(kk, j)) - qp.zeroB);
         }
+        for (std::size_t j = 0; j < n; ++j)
+            d(i, j) = requantizeI8(acc[j], eff, beta, c(i, j), qp);
     }
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <numeric>
 #include <sstream>
 #include <type_traits>
 
@@ -16,22 +18,6 @@ namespace mc {
 namespace blas {
 
 namespace {
-
-/** Per-combo tolerance: storage precision drives the bound. */
-double
-toleranceFor(GemmCombo combo, std::size_t k)
-{
-    const double growth = std::sqrt(static_cast<double>(k));
-    switch (combo) {
-      case GemmCombo::Dgemm: return 1e-12 * growth;
-      case GemmCombo::Sgemm: return 1e-5 * growth;
-      case GemmCombo::Hss: return 2e-3 * growth;
-      case GemmCombo::Hhs: return 5e-3 * growth;
-      case GemmCombo::Hgemm: return 1e-2 * growth;
-      case GemmCombo::I8gemm: return 0.0; // exact-match contract
-    }
-    return 1e-3 * growth;
-}
 
 /**
  * Fill the @p rows x @p cols row-major block at @p p per @p scheme:
@@ -64,9 +50,9 @@ fillScheme(T *p, std::size_t rows, std::size_t cols, VerifyScheme scheme,
  * C as rows [e*m, (e+1)*m) of one stacked matrix — strided-batched
  * layout with strides m*k and m*n. An unbatched config is one entry.
  *
- * Every output element depends only on its own row of A and C, so one
- * reference call over the stacked operands computes each entry's
- * reference exactly as a per-entry call would.
+ * Every output element depends only on its own row of A and C, so a
+ * reference call over rows gathered from the stacked operands gives
+ * exactly what a full per-entry call would give for those rows.
  */
 template <typename TCD, typename TAB>
 struct Operands
@@ -90,25 +76,66 @@ struct Operands
     }
 };
 
-/** Track the largest |got - want| (and where, as an entry row/column)
- *  and the largest ULP distance. */
-void
-recordError(VerifyResult &result, double got, double want,
-            std::uint64_t ulp, std::size_t i, std::size_t j)
+/** ULP distance of one element: fp::ulpDistance for the float types,
+ *  the integer difference for int8. */
+template <typename T>
+std::uint64_t
+elementUlp(T got, T want)
 {
-    const double err = std::fabs(got - want);
-    if (err > result.maxAbsError) {
-        result.maxAbsError = err;
+    if constexpr (std::is_same_v<T, std::int8_t>)
+        return static_cast<std::uint64_t>(std::abs(got - want));
+    else
+        return fp::ulpDistance(got, want);
+}
+
+/** Check one element bitwise; record a mismatch at entry row @p i,
+ *  column @p j. */
+template <typename T>
+void
+checkElement(VerifyResult &result, T got, T want, std::size_t i,
+             std::size_t j)
+{
+    if (std::memcmp(&got, &want, sizeof(T)) == 0)
+        return;
+    const std::uint64_t ulp = elementUlp(got, want);
+    if (result.mismatches == 0 || ulp > result.maxUlp) {
         result.errorRow = i;
         result.errorCol = j;
     }
+    ++result.mismatches;
     result.maxUlp = std::max(result.maxUlp, ulp);
+    const double err = std::fabs(
+        static_cast<double>(fp::NumericTraits<T>::widen(got)) -
+        static_cast<double>(fp::NumericTraits<T>::widen(want)));
+    if (err > result.maxAbsError)
+        result.maxAbsError = err;
 }
 
-/** "<combo> MxNxK [batch E (of B) ]via <path> [strided-batched ]path: " */
-std::string
-detailPrefix(const GemmConfig &config, const VerifyResult &result)
+/** Rows @p rows of each of the @p entries m-row entries stacked in
+ *  @p src, entry e's row rows[s] landing at row e*rows.size() + s. */
+template <typename T>
+Matrix<T>
+gatherRows(const Matrix<T> &src, std::size_t m, std::size_t entries,
+           const std::vector<std::size_t> &rows)
 {
+    const std::size_t cols = src.cols();
+    Matrix<T> out(entries * rows.size(), cols);
+    for (std::size_t e = 0; e < entries; ++e)
+        for (std::size_t s = 0; s < rows.size(); ++s)
+            std::memcpy(out.data() + (e * rows.size() + s) * cols,
+                        src.data() + (e * m + rows[s]) * cols,
+                        cols * sizeof(T));
+    return out;
+}
+
+/** Finish @p result: the pass rule and the detail string,
+ *  "<combo> MxNxK [batch E (of B) ]via <path> [strided-batched ]path:
+ *  <what was checked>, <outcome>". */
+void
+finish(VerifyResult &result, const GemmConfig &config,
+       VerifyScheme scheme, std::size_t sampled)
+{
+    result.passed = result.mismatches == 0;
     const bool batched = result.batchEntries > 1;
     std::ostringstream detail;
     detail << comboInfo(config.combo).name << " " << config.m << "x"
@@ -117,14 +144,27 @@ detailPrefix(const GemmConfig &config, const VerifyResult &result)
         detail << " batch " << result.batchEntries << " (of "
                << config.batchCount << ")";
     detail << " via " << (result.usedMatrixCores ? "MatrixCore" : "SIMD")
-           << (batched ? " strided-batched" : "") << " path: ";
-    return detail.str();
+           << (batched ? " strided-batched" : "") << " path: " << sampled
+           << " sampled rows vs the scalar reference"
+           << (scheme == VerifyScheme::PaperOnesIdentity
+                   ? " and every element vs the closed form"
+                   : "")
+           << ", " << result.mismatches << " mismatches, max ULP = ";
+    if (result.maxUlp == fp::kUlpNan)
+        detail << "NaN";
+    else
+        detail << result.maxUlp;
+    detail << ", max |err| = " << result.maxAbsError << " at ("
+           << result.errorRow << ", " << result.errorCol << ") (tol 0)";
+    result.detail = detail.str();
 }
 
 /**
- * Run one float combo functionally: build operands, execute through
- * the engine-selected path's strided-batched driver, and compare each
- * entry against the reference computation.
+ * Run one float combo functionally: build operands, execute once
+ * through the engine-selected path's strided-batched driver, and
+ * check the sampled rows of each entry against the independent scalar
+ * reference — the MFMA tile chain for Matrix Core plans, the
+ * (per-step-rounded) triple loop for SIMD plans.
  */
 template <typename TCD, typename TAB, typename TAcc>
 VerifyResult
@@ -134,71 +174,74 @@ runTyped(const GemmConfig &config, const GemmPlan &plan,
 {
     const std::size_t m = config.m, n = config.n, k = config.k;
     const std::size_t sa = m * k, sc = m * n;
+    const bool tiled = plan.useMatrixCores;
     const Operands<TCD, TAB> ops(config, entries, scheme, seed);
 
-    Matrix<TCD> d_ref(entries * m, n);
-    referenceGemm<TCD, TAB, TAcc>(config.alpha, ops.a, ops.b, config.beta,
-                                  ops.c, d_ref, round_each_step, func);
-
-    Matrix<TCD> d_run(entries * m, n);
-    if (plan.useMatrixCores) {
+    Matrix<TCD> d(entries * m, n);
+    if (tiled) {
         fastBatchedTiledMatrixCoreGemm<TCD, TAB, TAcc>(
             *plan.inst, entries, config.alpha, ops.a.data(), sa,
-            ops.b.data(), 0, config.beta, ops.c.data(), sc, d_run.data(),
-            sc, m, n, k, func);
+            ops.b.data(), 0, config.beta, ops.c.data(), sc, d.data(), sc,
+            m, n, k, func);
     } else {
-        // The SIMD path is the reference computation itself; re-run it
-        // so path selection is still exercised end to end.
         fastBatchedGemm<TCD, TAB, TAcc>(
             entries, config.alpha, ops.a.data(), sa, ops.b.data(), 0,
-            config.beta, ops.c.data(), sc, d_run.data(), sc, m, n, k,
+            config.beta, ops.c.data(), sc, d.data(), sc, m, n, k,
             round_each_step, func);
     }
 
+    // The row block the driver resolved (the tiled path never rounds
+    // per step, which selects its tuning key).
+    const GemmCombo driven =
+        comboForTypes<TCD, TAB, TAcc>(round_each_step && !tiled);
+    const std::vector<std::size_t> rows = verifySampleRows(
+        m, resolveFunctionalOptions(func, driven, n).blockM, seed);
+    const Matrix<TAB> a_rows = gatherRows(ops.a, m, entries, rows);
+    const Matrix<TCD> c_rows = gatherRows(ops.c, m, entries, rows);
+    Matrix<TCD> ref(a_rows.rows(), n);
+    if (tiled) {
+        scalarTiledMatrixCoreGemm<TCD, TAB, TAcc>(
+            *plan.inst, config.alpha, a_rows, ops.b, config.beta, c_rows,
+            ref);
+    } else {
+        scalarReferenceGemm<TCD, TAB, TAcc>(config.alpha, a_rows, ops.b,
+                                            config.beta, c_rows, ref,
+                                            round_each_step);
+    }
+
     VerifyResult result;
-    result.usedMatrixCores = plan.useMatrixCores;
+    result.usedMatrixCores = tiled;
     result.batchEntries = entries;
-    result.tolerance = toleranceFor(config.combo, k);
-    const double expect = config.alpha + config.beta;
-    for (std::size_t r = 0; r < entries * m; ++r) {
-        for (std::size_t j = 0; j < n; ++j) {
-            const TCD got_cd = d_run(r, j);
-            const double got = static_cast<double>(
-                fp::NumericTraits<TCD>::widen(got_cd));
-            recordError(result, got,
-                        static_cast<double>(
-                            fp::NumericTraits<TCD>::widen(d_ref(r, j))),
-                        fp::ulpDistance(got_cd, d_ref(r, j)), r % m, j);
-            // The paper's scheme has a closed-form expectation: check
-            // it too. D = alpha*(ones x I) + beta*ones; only the
-            // leading min(k, n) columns receive the A*B term.
-            if (scheme == VerifyScheme::PaperOnesIdentity) {
-                const double want = (j < k) ? expect : config.beta;
-                recordError(result, got, want,
-                            fp::ulpDistance(got_cd, TCD(want)), r % m, j);
+    compareSampledRows(d.data(), ref.data(), m, n, entries, rows, result);
+    // The paper scheme's closed form, in the kernel's own arithmetic:
+    // A = ones times B = I puts exactly (j < k) in the accumulator,
+    // then alpha/beta apply in TAcc and D narrows once to TCD.
+    if (scheme == VerifyScheme::PaperOnesIdentity) {
+        const TAcc alpha_acc = static_cast<TAcc>(config.alpha);
+        const TAcc beta_acc = static_cast<TAcc>(config.beta);
+        for (std::size_t r = 0; r < entries * m; ++r) {
+            for (std::size_t j = 0; j < n; ++j) {
+                const TAcc hit = j < k ? TAcc(1) : TAcc(0);
+                const TCD want = TCD(
+                    alpha_acc * hit +
+                    beta_acc * static_cast<TAcc>(
+                                   fp::NumericTraits<TCD>::widen(
+                                       ops.c(r, j))));
+                checkElement(result, d(r, j), want, r % m, j);
             }
         }
     }
-
-    result.passed = result.maxAbsError <= result.tolerance;
-    std::ostringstream detail;
-    detail << detailPrefix(config, result)
-           << "max |err| = " << result.maxAbsError << " at ("
-           << result.errorRow << ", " << result.errorCol << "), max ULP = ";
-    if (result.maxUlp == fp::kUlpNan)
-        detail << "NaN";
-    else
-        detail << result.maxUlp;
-    detail << " (tol " << result.tolerance << ")";
-    result.detail = detail.str();
+    finish(result, config, scheme, rows.size());
     return result;
 }
 
 /**
- * The quantized INT8 combo verifies to *zero* tolerance: integer
- * accumulation is exact and the requantize rounding is shared code,
- * so the fast path must reproduce the scalar reference bit for bit
- * (docs/PERF.md "Integer kernels"). Any nonzero difference fails.
+ * The quantized INT8 combo: integer accumulation is exact and the
+ * requantize rounding is shared code, so the fast path must reproduce
+ * scalarQuantizedGemm bit for bit on the sampled rows
+ * (docs/PERF.md "Integer kernels"). The plan's Matrix Core decision
+ * only drives the *simulated* execution; host verification always
+ * exercises the functional fast path.
  */
 VerifyResult
 runI8(const GemmConfig &config, const GemmPlan &plan, VerifyScheme scheme,
@@ -211,58 +254,104 @@ runI8(const GemmConfig &config, const GemmPlan &plan, VerifyScheme scheme,
     const Operands<std::int8_t, std::int8_t> ops(config, entries, scheme,
                                                  seed);
 
-    Matrix<std::int8_t> d_ref(entries * m, n);
-    scalarQuantizedGemm(config.alpha, ops.a, ops.b, config.beta, ops.c,
-                        d_ref, qp);
-    // The plan's Matrix Core decision only drives the *simulated*
-    // execution; host verification always exercises the functional
-    // fast path against the scalar reference.
-    Matrix<std::int8_t> d_run(entries * m, n);
+    Matrix<std::int8_t> d(entries * m, n);
     fastBatchedQuantizedGemm(entries, config.alpha, ops.a.data(), sa,
                              ops.b.data(), 0, config.beta, ops.c.data(),
-                             sc, d_run.data(), sc, m, n, k, qp, func);
+                             sc, d.data(), sc, m, n, k, qp, func);
+
+    const std::vector<std::size_t> rows = verifySampleRows(
+        m, resolveFunctionalOptions(func, GemmCombo::I8gemm, n).blockM,
+        seed);
+    const Matrix<std::int8_t> a_rows = gatherRows(ops.a, m, entries, rows);
+    const Matrix<std::int8_t> c_rows = gatherRows(ops.c, m, entries, rows);
+    Matrix<std::int8_t> ref(a_rows.rows(), n);
+    scalarQuantizedGemm(config.alpha, a_rows, ops.b, config.beta, c_rows,
+                        ref, qp);
 
     VerifyResult result;
     result.usedMatrixCores = plan.useMatrixCores;
     result.batchEntries = entries;
-    result.tolerance = 0.0;
-    const auto record = [&result](std::int8_t got, std::int8_t want,
-                                  std::size_t i, std::size_t j) {
-        recordError(result, got, want,
-                    static_cast<std::uint64_t>(std::abs(got - want)), i, j);
-    };
-    const double eff = effectiveQuantScale(config.alpha, qp);
-    for (std::size_t r = 0; r < entries * m; ++r) {
-        for (std::size_t j = 0; j < n; ++j) {
-            record(d_run(r, j), d_ref(r, j), r % m, j);
-            // The paper scheme has a closed-form accumulator: with A
-            // all-ones and B the identity, acc(i,j) = (1 - zeroA) *
-            // ((j < k) - k*zeroB), so the expected output is one
-            // requantize call away.
-            if (scheme == VerifyScheme::PaperOnesIdentity) {
+    compareSampledRows(d.data(), ref.data(), m, n, entries, rows, result);
+    // The paper scheme has a closed-form accumulator: with A all-ones
+    // and B the identity, acc(i,j) = (1 - zeroA) * ((j < k) - k*zeroB),
+    // so the expected output is one requantize call away.
+    if (scheme == VerifyScheme::PaperOnesIdentity) {
+        const double eff = effectiveQuantScale(config.alpha, qp);
+        for (std::size_t r = 0; r < entries * m; ++r) {
+            for (std::size_t j = 0; j < n; ++j) {
                 const std::int32_t hit = (j < k) ? 1 : 0;
                 const std::int32_t acc =
                     (1 - qp.zeroA) *
                     (hit - static_cast<std::int32_t>(k) * qp.zeroB);
-                record(d_run(r, j),
-                       requantizeI8(acc, eff, config.beta, std::int8_t{1},
-                                    qp),
-                       r % m, j);
+                checkElement(result, d(r, j),
+                             requantizeI8(acc, eff, config.beta,
+                                          ops.c(r, j), qp),
+                             r % m, j);
             }
         }
     }
-
-    result.passed = result.maxAbsError == 0.0;
-    std::ostringstream detail;
-    detail << detailPrefix(config, result)
-           << "exact-match check, max |err| = " << result.maxAbsError
-           << " at (" << result.errorRow << ", " << result.errorCol
-           << ") (tol 0)";
-    result.detail = detail.str();
+    finish(result, config, scheme, rows.size());
     return result;
 }
 
 } // namespace
+
+std::vector<std::size_t>
+verifySampleRows(std::size_t m, std::size_t block_m, std::uint64_t seed)
+{
+    std::vector<std::size_t> rows(std::min(m, kVerifySampleRows));
+    if (m <= kVerifySampleRows) {
+        std::iota(rows.begin(), rows.end(), std::size_t{0});
+        return rows;
+    }
+    block_m = std::clamp<std::size_t>(block_m, 1, m);
+    rows = {0, block_m - 1, (m - 1) / block_m * block_m, m - 1};
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    Rng rng(seed ^ 0x73616d706c65ull); // "sample"
+    while (rows.size() < kVerifySampleRows) {
+        const std::size_t pick = rng.nextBelow(m);
+        if (std::find(rows.begin(), rows.end(), pick) == rows.end())
+            rows.push_back(pick);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+}
+
+template <typename TCD>
+void
+compareSampledRows(const TCD *d, const TCD *ref, std::size_t m,
+                   std::size_t n, std::size_t entries,
+                   const std::vector<std::size_t> &rows,
+                   VerifyResult &result)
+{
+    for (std::size_t e = 0; e < entries; ++e) {
+        for (std::size_t s = 0; s < rows.size(); ++s) {
+            const TCD *got = d + (e * m + rows[s]) * n;
+            const TCD *want = ref + (e * rows.size() + s) * n;
+            for (std::size_t j = 0; j < n; ++j)
+                checkElement(result, got[j], want[j], rows[s], j);
+        }
+    }
+    result.passed = result.mismatches == 0;
+}
+
+template void compareSampledRows<float>(const float *, const float *,
+                                        std::size_t, std::size_t,
+                                        std::size_t,
+                                        const std::vector<std::size_t> &,
+                                        VerifyResult &);
+template void compareSampledRows<double>(const double *, const double *,
+                                         std::size_t, std::size_t,
+                                         std::size_t,
+                                         const std::vector<std::size_t> &,
+                                         VerifyResult &);
+template void compareSampledRows<fp::Half>(
+    const fp::Half *, const fp::Half *, std::size_t, std::size_t,
+    std::size_t, const std::vector<std::size_t> &, VerifyResult &);
+template void compareSampledRows<std::int8_t>(
+    const std::int8_t *, const std::int8_t *, std::size_t, std::size_t,
+    std::size_t, const std::vector<std::size_t> &, VerifyResult &);
 
 VerifyResult
 verifyGemm(const GemmConfig &config, VerifyScheme scheme,

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 
 #include "common/logging.hh"
 
@@ -123,32 +126,61 @@ parallelChunks(std::size_t count, std::size_t chunk, int threads,
     if (threads < 1)
         threads = ThreadPool::hardwareThreads();
     threads = capThreads(threads);
-    if (threads == 1 || count <= chunk) {
+    const std::size_t chunks = (count + chunk - 1) / chunk;
+    if (threads == 1 || chunks == 1) {
         for (std::size_t begin = 0; begin < count; begin += chunk)
             fn(begin, std::min(count, begin + chunk));
         return;
     }
 
-    const std::shared_ptr<ThreadPool> pool = sharedPool(threads);
-    std::vector<std::future<void>> chunks;
-    chunks.reserve((count + chunk - 1) / chunk);
-    for (std::size_t begin = 0; begin < count; begin += chunk) {
-        const std::size_t end = std::min(count, begin + chunk);
-        chunks.push_back(pool->submit([&fn, begin, end]() { fn(begin, end); }));
-    }
+    // The caller and threads - 1 helpers claim chunk indices from one
+    // counter. Helpers hold the state by shared_ptr: one that starts
+    // after every chunk was claimed (the caller may have returned by
+    // then) finds the counter exhausted and never touches fn.
+    struct State
+    {
+        std::atomic<std::size_t> next{0};
+        std::mutex mutex;
+        std::condition_variable allDone;
+        std::size_t done = 0;
+        std::size_t failedChunk = 0;
+        std::exception_ptr failure;
+    };
+    const auto state = std::make_shared<State>();
+    const auto work = [state, chunks, count, chunk, &fn]() {
+        for (;;) {
+            const std::size_t i = state->next.fetch_add(1);
+            if (i >= chunks)
+                return;
+            std::exception_ptr error;
+            try {
+                fn(i * chunk, std::min(count, (i + 1) * chunk));
+            } catch (...) {
+                error = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(state->mutex);
+            if (error && (!state->failure || i < state->failedChunk)) {
+                state->failure = error;
+                state->failedChunk = i;
+            }
+            if (++state->done == chunks)
+                state->allDone.notify_all();
+        }
+    };
+
+    const std::size_t helpers =
+        std::min(static_cast<std::size_t>(threads), chunks) - 1;
+    const std::shared_ptr<ThreadPool> pool =
+        sharedPool(static_cast<int>(helpers));
+    for (std::size_t h = 0; h < helpers; ++h)
+        (void)pool->submit(work);
+    work();
     // Full barrier before rethrowing: every chunk references caller
     // state, so no exception may escape while one is still running.
-    std::exception_ptr first;
-    for (std::future<void> &done : chunks) {
-        try {
-            done.get();
-        } catch (...) {
-            if (!first)
-                first = std::current_exception();
-        }
-    }
-    if (first)
-        std::rethrow_exception(first);
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->allDone.wait(lock, [&]() { return state->done == chunks; });
+    if (state->failure)
+        std::rethrow_exception(state->failure);
 }
 
 } // namespace exec

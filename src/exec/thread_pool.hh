@@ -110,15 +110,17 @@ int concurrencyCap();
 
 /**
  * Split [0, count) into chunks of @p chunk and run
- * @p fn(begin, end) for each, fanning across @p threads workers of
- * the shared pool (serial — and pool-free — when @p threads is 1 or
- * there is only one chunk; @p threads < 1 requests the hardware
- * concurrency). Blocks until every chunk completed; the first chunk
- * exception (in submission order) is rethrown after the barrier.
+ * @p fn(begin, end) for each on at most min(@p threads, chunks)
+ * threads: the caller plus that many minus one shared-pool tasks, all
+ * claiming chunk indices from one counter (serial — and pool-free —
+ * when @p threads is 1 or there is only one chunk; @p threads < 1
+ * requests the hardware concurrency). Blocks until every chunk
+ * completed; the exception of the lowest-index failing chunk is
+ * rethrown after that barrier.
  *
- * Chunks must be independent. @p fn must not call parallelChunks
- * recursively from a shared-pool worker: the outer call would block a
- * worker the inner call needs.
+ * Chunks must be independent. Because the caller drains the counter
+ * itself, a call made from a shared-pool worker completes even when
+ * no other worker is free.
  */
 void parallelChunks(std::size_t count, std::size_t chunk, int threads,
                     const std::function<void(std::size_t, std::size_t)> &fn);

@@ -3,7 +3,9 @@
  * The strided-batched fast-GEMM drivers' contract: every entry of
  * fastBatchedGemm / fastBatchedTiledMatrixCoreGemm /
  * fastBatchedQuantizedGemm is bit-identical to the corresponding
- * single-call driver on the same operand slices — with strided
+ * scalar reference (scalarReferenceGemm / scalarTiledMatrixCoreGemm /
+ * scalarQuantizedGemm), which shares no code with the drivers, on the
+ * same operand slices — with strided
  * operands, with the stride-0 broadcast convention (shared A or B
  * staged once), across thread counts, and with the pack cache on or
  * off. Complements tests/blas/batched_test.cc, which covers the
@@ -64,7 +66,7 @@ flatBitIdentical(const std::vector<T> &x, const std::vector<T> &y)
     return ::testing::AssertionFailure() << "memcmp/element disagree";
 }
 
-/** Wrap a flat batch entry as a Matrix for the single-call drivers. */
+/** Wrap a flat batch entry as a Matrix for the scalar references. */
 template <typename T>
 Matrix<T>
 sliceMatrix(const T *base, std::size_t rows, std::size_t cols)
@@ -141,8 +143,7 @@ expectBatchedMatchesLoop(const BatchCase &bc, int threads,
         const auto ce =
             sliceMatrix(c.data() + e * bc.m * bc.n, bc.m, bc.n);
         Matrix<TCD> de(bc.m, bc.n);
-        referenceGemm<TCD, TAB, TAcc>(1.25, ae, be, 0.5, ce, de,
-                                      false, opts);
+        scalarReferenceGemm<TCD, TAB, TAcc>(1.25, ae, be, 0.5, ce, de);
         std::memcpy(d_loop.data() + e * bc.m * bc.n, de.data(),
                     bc.m * bc.n * sizeof(TCD));
     }
@@ -206,7 +207,7 @@ TEST_P(BatchedDriverTest, TiledMatrixCoreEntriesMatchSingleCalls)
             const auto ce =
                 sliceMatrix(c.data() + e * bc.m * bc.n, bc.m, bc.n);
             Matrix<float> de(bc.m, bc.n);
-            tiledMatrixCoreGemm<float, fp::Half, float>(
+            scalarTiledMatrixCoreGemm<float, fp::Half, float>(
                 *inst, 1.25, ae, be, 0.5, ce, de);
             std::memcpy(d_loop.data() + e * bc.m * bc.n, de.data(),
                         bc.m * bc.n * sizeof(float));
@@ -259,7 +260,7 @@ TEST_P(BatchedDriverTest, QuantizedEntriesMatchSingleCalls)
                 const auto ce = sliceMatrix(c.data() + e * bc.m * bc.n,
                                             bc.m, bc.n);
                 Matrix<std::int8_t> de(bc.m, bc.n);
-                fastQuantizedGemm(1.25, ae, be, 0.5, ce, de, qp, opts);
+                scalarQuantizedGemm(1.25, ae, be, 0.5, ce, de, qp);
                 std::memcpy(d_loop.data() + e * bc.m * bc.n, de.data(),
                             bc.m * bc.n);
             }

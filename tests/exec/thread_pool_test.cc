@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -180,6 +183,38 @@ TEST(ParallelChunks, RethrowsFirstChunkExceptionAfterBarrier)
     }
     // Every non-throwing chunk still ran (the barrier completes first).
     EXPECT_EQ(completed.load(), 3);
+}
+
+TEST(ParallelChunks, RunsOnTheThreadCountItIsGiven)
+{
+    // A pool grown by an earlier, wider request must not widen a later
+    // call: threads = 2 means the caller plus one pool task.
+    ASSERT_GE(sharedPool(4)->threadCount(), 4);
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallelChunks(64, 1, 2, [&](std::size_t, std::size_t) {
+        // Long enough that idle pool workers would get a chunk.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(ParallelChunks, CallFromAPoolWorkerCompletes)
+{
+    // The caller drains the chunk counter itself, so a nested call
+    // finishes even while every other worker is busy with this task.
+    const std::shared_ptr<ThreadPool> pool = sharedPool(2);
+    std::atomic<int> covered{0};
+    pool->submit([&]() {
+            parallelChunks(32, 4, 8, [&](std::size_t begin,
+                                         std::size_t end) {
+                covered.fetch_add(static_cast<int>(end - begin));
+            });
+        })
+        .get();
+    EXPECT_EQ(covered.load(), 32);
 }
 
 /** Restores the uncapped default even when a test assertion throws. */

@@ -6,7 +6,7 @@
  * Three generations of the same arithmetic are timed against each
  * other per datatype combo, matrix size, and thread count:
  *
- *  - the retained scalar reference loops ("legacy", scalarReferenceGemm),
+ *  - the pre-blocking scalar triple loop ("legacy", scalarGemm below),
  *  - the blocked/packed/threaded backend pinned to its scalar
  *    micro-kernel tier (MC_SIMD=scalar — the PR 4 fast path), and
  *  - every explicit-SIMD tier the CPU supports (SSE2/AVX2/AVX-512 on
@@ -203,13 +203,39 @@ struct Operands
     }
 };
 
+/**
+ * The pre-blocking triple loop the fast backend replaced (i, j, then
+ * k innermost, widening every operand read): the "legacy" baseline of
+ * the timing rows and of the --check gate, as BENCH_pr4 measured it.
+ * blas::scalarReferenceGemm computes the same bits with k outermost
+ * over a row of accumulators, which makes it cheap per row for host
+ * verification but no longer this baseline.
+ */
 template <typename Types>
 void
 scalarGemm(const Operands<Types> &p, Matrix<typename Types::TCD> &d)
 {
-    blas::scalarReferenceGemm<typename Types::TCD, typename Types::TAB,
-                              typename Types::TAcc>(
-        kAlpha, p.a, p.b, kBeta, p.c, d, Types::roundEachStep);
+    using TCD = typename Types::TCD;
+    using TAB = typename Types::TAB;
+    using TAcc = typename Types::TAcc;
+    for (std::size_t i = 0; i < p.a.rows(); ++i) {
+        for (std::size_t j = 0; j < p.b.cols(); ++j) {
+            TAcc acc = TAcc(0);
+            for (std::size_t kk = 0; kk < p.a.cols(); ++kk) {
+                acc += static_cast<TAcc>(
+                           fp::NumericTraits<TAB>::widen(p.a(i, kk))) *
+                       static_cast<TAcc>(
+                           fp::NumericTraits<TAB>::widen(p.b(kk, j)));
+                if (Types::roundEachStep)
+                    acc = static_cast<TAcc>(
+                        fp::NumericTraits<TCD>::widen(TCD(acc)));
+            }
+            d(i, j) = TCD(static_cast<TAcc>(kAlpha) * acc +
+                          static_cast<TAcc>(kBeta) *
+                              static_cast<TAcc>(
+                                  fp::NumericTraits<TCD>::widen(p.c(i, j))));
+        }
+    }
 }
 
 void
