@@ -72,6 +72,17 @@ tflopsCell(const Measurement &m)
     return m.format(1e-12, 1);
 }
 
+std::string
+speedupRange(const std::vector<double> &ratios)
+{
+    if (ratios.empty())
+        return "no point measured";
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+    char text[96];
+    std::snprintf(text, sizeof(text), "%.1fx - %.1fx", *lo, *hi);
+    return text;
+}
+
 Result<Measurement>
 repeatMeasureResilient(const std::function<Result<TimedSample>(int)> &sample,
                        const ResilientOptions &opts)

@@ -77,6 +77,10 @@ repeatMeasureUntil(const std::function<std::optional<double>()> &sample,
 /** Standard "<n> TFLOPS" cell: value scaled by 1e12, one decimal. */
 std::string tflopsCell(const Measurement &m);
 
+/** A speedup range as "<min>x - <max>x" (one decimal), or "no point
+ *  measured" when @p ratios is empty. */
+std::string speedupRange(const std::vector<double> &ratios);
+
 // ---- Resilient measurement ----------------------------------------------
 
 /** One repetition's outcome: the measured value and its simulated cost. */

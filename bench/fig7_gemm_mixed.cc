@@ -287,20 +287,13 @@ main(int argc, char **argv)
 
     // Section VII: speedup range over the sweep (N >= 1024, where the
     // device is reasonably utilized).
-    double lo = 1e30, hi = 0.0;
+    std::vector<double> ratios;
     for (const auto &[n, hhs] : tflops[blas::GemmCombo::Hhs]) {
-        if (n < 1024 || !tflops[blas::GemmCombo::Hgemm].count(n))
-            continue;
-        const double s = hhs / tflops[blas::GemmCombo::Hgemm][n];
-        lo = std::min(lo, s);
-        hi = std::max(hi, s);
+        if (n >= 1024 && tflops[blas::GemmCombo::Hgemm].count(n))
+            ratios.push_back(hhs / tflops[blas::GemmCombo::Hgemm][n]);
     }
-    char speedup[128];
-    std::snprintf(speedup, sizeof(speedup),
-                  "\nMatrix Core speedup over SIMD (HHS vs HGEMM, "
-                  "N >= 1024): %.1fx - %.1fx (paper: 2.3x - 7.5x)\n",
-                  lo, hi);
-    os << speedup;
+    os << "\nMatrix Core speedup over SIMD (HHS vs HGEMM, N >= 1024): "
+       << bench::speedupRange(ratios) << " (paper: 2.3x - 7.5x)\n";
     if (verified_points > 0)
         os << "verification: " << verified_points
            << " points host-verified, max ULP = " << verified_max_ulp

@@ -75,10 +75,9 @@ batchedGemmImpl(std::size_t batch, double alpha, const TAB *a,
                       : stageWidened<TAB, TAcc>(PackKind::WidenB,
                                                 b + e * stride_b, k, n,
                                                 kpad, ker, frame, keep_b);
-        blockedGemmCore<TCD, TAcc>(m, n, kpad, alpha, pa, kpad, pb, n,
-                                   beta, c + e * stride_c,
-                                   d + e * stride_d, n, round_each_step,
-                                   ropts);
+        blockedGemmCore<TCD, TAcc>(m, n, kpad, alpha, pa, kpad, pb, beta,
+                                   c + e * stride_c, d + e * stride_d, n,
+                                   round_each_step, ropts);
     }
 }
 

@@ -16,35 +16,40 @@
  * widen(a(i,kk)) * widen(b(kk,j)) in ascending-kk order — exactly the
  * scalar loop's order. Speed comes from everything *around* the sum:
  *
- *  - the j loop is innermost (an "axpy" update accs[j] += av * b[kk][j]
- *    across an output row panel), so consecutive iterations update
- *    independent accumulators and vectorize/pipeline instead of
- *    serializing on the FP-add latency chain;
- *  - A and B are widened to the accumulator type once up front
- *    (conversion is exact, so values are unchanged; for float/double
- *    operands the matrix storage is used in place) instead of widening
- *    and bounds-checking every element m*n*k times; the staged panels
- *    are reused across calls through the content-addressed PackCache
- *    and otherwise live in thread-local ScratchArena frames instead of
- *    per-call heap allocations (pack_cache.hh, scratch_arena.hh);
- *  - loops are blocked (blockM x blockN x blockK) so one B panel is
- *    served from cache for a whole block of output rows;
+ *  - a register-blocked micro-kernel (simd_vec_kernels.hh) holds an
+ *    MR-row x NR-column block of independent accumulators in
+ *    registers for a whole k-block, so each k step is MR * NR/W
+ *    independent mul+add pairs fed by NR/W loads of B and MR
+ *    broadcasts of A, instead of a chain serialized on the FP-add
+ *    latency or on memory;
+ *  - B is staged once into contiguous NR-wide micro-panels (widened
+ *    to the accumulator type in the same pass; conversion is exact, so
+ *    values are unchanged), and A is widened once up front (f32/f64 A
+ *    is read in place). The staged panels are reused across calls
+ *    through the content-addressed PackCache and otherwise live in
+ *    thread-local ScratchArena frames (pack_cache.hh,
+ *    scratch_arena.hh);
+ *  - loops are blocked (blockM x blockN x blockK) so the B micro-panels
+ *    of one block are served from cache for a whole block of output
+ *    rows;
  *  - row blocks fan out across exec::sharedPool workers. Each (i, j)
  *    is computed wholly by one task, so results are independent of the
  *    thread count.
  *
- * The inner kernels are reached through a runtime-dispatched table of
- * explicit-SIMD micro-kernels (simd_kernels.hh): scalar -> SSE2 ->
- * AVX2 -> AVX-512 on x86-64, NEON on aarch64, selected per CPU at
- * startup and overridable via FunctionalGemmOptions::simd or the
- * MC_SIMD environment variable. Vector lanes widen over the j
- * dimension only — distinct j means distinct accumulators, so lane
- * parallelism never re-associates a sum. Every tier TU is compiled
- * with -ffp-contract=off and without FMA codegen flags, so mul and add
- * round separately per lane exactly like the retained scalar reference
- * (the "scalar" tier, instantiated -O3 in fast_gemm.cc), and every
- * tier is bit-identical to it; tests/blas/simd_tier_test.cc enforces
- * this with memcmp.
+ * The micro-kernels are reached through a runtime-dispatched table
+ * (simd_kernels.hh): scalar -> SSE2 -> AVX2 -> AVX-512 on x86-64, NEON
+ * on aarch64, selected per CPU at startup and overridable via
+ * FunctionalGemmOptions::simd or the MC_SIMD environment variable.
+ * Every tier, the scalar one included, runs the same loop nest from
+ * one template; MR and NR are per-tier constants sized to the register
+ * file, not knobs. Vector lanes widen over the j dimension only —
+ * distinct j means distinct accumulators, so lane parallelism never
+ * re-associates a sum, and the block shape never changes bits. Every
+ * tier TU is compiled with -ffp-contract=off and without FMA codegen
+ * flags, so mul and add round separately per lane, and every tier is
+ * bit-identical to the scalar tier and to the retained scalar
+ * reference (functional.hh); tests/blas/simd_tier_test.cc and
+ * fast_gemm_test.cc enforce this with memcmp.
  */
 
 #ifndef MC_BLAS_FAST_GEMM_HH
@@ -96,60 +101,6 @@ comboForTypes(bool round_each_step)
 }
 
 namespace detail {
-
-/**
- * The hot kernel: accs[j] += arow[kk] * bpanel[kk * ldb + j] for
- * kk < nk, j < nj, kk ascending — the scalar reference's per-element
- * accumulation order with the j loop innermost.
- */
-template <typename T>
-void
-axpyPanel(const T *arow, const T *bpanel, std::size_t ldb, std::size_t nk,
-          T *accs, std::size_t nj)
-{
-    for (std::size_t kk = 0; kk < nk; ++kk) {
-        const T av = arow[kk];
-        const T *brow = bpanel + kk * ldb;
-        for (std::size_t j = 0; j < nj; ++j)
-            accs[j] += av * brow[j];
-    }
-}
-
-/**
- * axpyPanel with the reduced-precision FMA-chain semantics: after
- * every multiply-add the accumulator is rounded to TNarrow and widened
- * back (referenceGemm's round_each_step — how HGEMM behaves on the
- * VALU path).
- */
-template <typename TNarrow, typename TAcc>
-void
-axpyPanelRound(const TAcc *arow, const TAcc *bpanel, std::size_t ldb,
-               std::size_t nk, TAcc *accs, std::size_t nj)
-{
-    for (std::size_t kk = 0; kk < nk; ++kk) {
-        const TAcc av = arow[kk];
-        const TAcc *brow = bpanel + kk * ldb;
-        for (std::size_t j = 0; j < nj; ++j) {
-            const TAcc acc = accs[j] + av * brow[j];
-            accs[j] = static_cast<TAcc>(
-                fp::NumericTraits<TNarrow>::widen(TNarrow(acc)));
-        }
-    }
-}
-
-// The instantiations the five datatype combos reach live in
-// fast_gemm.cc, compiled -O3 so the j loops vectorize.
-extern template void axpyPanel<float>(const float *, const float *,
-                                      std::size_t, std::size_t, float *,
-                                      std::size_t);
-extern template void axpyPanel<double>(const double *, const double *,
-                                       std::size_t, std::size_t, double *,
-                                       std::size_t);
-extern template void axpyPanelRound<fp::Half, float>(const float *,
-                                                     const float *,
-                                                     std::size_t,
-                                                     std::size_t, float *,
-                                                     std::size_t);
 
 /**
  * The SIMD batch-widen kernel for TSrc -> float packing, or nullptr
@@ -209,48 +160,65 @@ widenPadColsInto(const TSrc *in, std::size_t rows, std::size_t cols,
 }
 
 /**
- * Row-major widened copy of @p in (rows x cols) into @p out with zero
- * rows appended up to @p padded_rows (the packed B layout; B is
- * consumed row-wise so its native row-major layout already is the
- * packed layout).
+ * Widened copy of @p in (rows x cols, row-major) into @p out in the
+ * packed B layout: @p nr-wide micro-panels, panel p holding columns
+ * [p * nr, p * nr + nr) as a contiguous padded_rows x nr row-major
+ * block, so the micro-kernel reads one nr-element row per k step.
+ * Columns past @p cols and rows past @p rows are zero. The widen and
+ * the reorder are one pass; Half/BFloat16 sources go through @p ker's
+ * batch-widen kernels (bit-identical to the scalar per-element widen).
  */
 template <typename TSrc, typename TAcc>
 void
-widenPadRowsInto(const TSrc *in, std::size_t rows, std::size_t cols,
-                 std::size_t padded_rows, TAcc *out,
-                 const SimdKernels &ker)
+widenMicroPanelsInto(const TSrc *in, std::size_t rows, std::size_t cols,
+                     std::size_t padded_rows, std::size_t nr, TAcc *out,
+                     const SimdKernels &ker)
 {
-    if (padded_rows != rows)
-        std::fill_n(out + rows * cols, (padded_rows - rows) * cols,
-                    TAcc(0));
-    if (const auto widen = packWidenKernel<TSrc, TAcc>(ker)) {
-        widen(reinterpret_cast<const std::uint16_t *>(in),
-              reinterpret_cast<float *>(out), rows * cols);
-        return;
+    const auto widen = packWidenKernel<TSrc, TAcc>(ker);
+    const std::size_t panels = (cols + nr - 1) / nr;
+    for (std::size_t p = 0; p < panels; ++p) {
+        const std::size_t j0 = p * nr;
+        const std::size_t width = std::min(nr, cols - j0);
+        TAcc *panel = out + p * padded_rows * nr;
+        for (std::size_t kk = 0; kk < rows; ++kk) {
+            const TSrc *src = in + kk * cols + j0;
+            TAcc *dst = panel + kk * nr;
+            if (widen) {
+                widen(reinterpret_cast<const std::uint16_t *>(src),
+                      reinterpret_cast<float *>(dst), width);
+            } else {
+                for (std::size_t j = 0; j < width; ++j)
+                    dst[j] = static_cast<TAcc>(
+                        fp::NumericTraits<TSrc>::widen(src[j]));
+            }
+            std::fill(dst + width, dst + nr, TAcc(0));
+        }
+        std::fill_n(panel + rows * nr, (padded_rows - rows) * nr, TAcc(0));
     }
-    for (std::size_t i = 0; i < rows * cols; ++i)
-        out[i] = static_cast<TAcc>(fp::NumericTraits<TSrc>::widen(in[i]));
 }
 
 /**
  * Stage one operand into its packed/widened layout, reusing storage in
  * this order:
  *
- *  1. in place — TSrc already is TAcc and no padding is needed (the
- *     float/double fast path; neither the cache nor the fingerprint is
- *     touched, so plain SGEMM/DGEMM pays nothing for the cache);
+ *  1. in place — only A, when TSrc already is TAcc and no padding is
+ *     needed (the float/double fast path; neither the cache nor the
+ *     fingerprint is touched). B is always repacked into micro-panels;
  *  2. the process-wide PackCache — keyed by a CRC-32 fingerprint of
  *     the source bytes plus shape/type/tier/pad, so repeated-weight
  *     calls skip packing entirely (@p keep pins the entry across
- *     eviction for the duration of the call);
- *  3. the caller's thread-local scratch @p frame when the cache is off.
+ *     eviction for the duration of the call). The tier fixes the
+ *     micro-panel width, so it fixes the B layout too;
+ *  3. the caller's thread-local scratch @p frame when the cache is off
+ *     or the operand is small.
  *
- * Every path runs the same widenPad*Into routine, so the staged bytes
+ * Every path runs the same widen*Into routine, so the staged bytes
  * are identical however they were obtained — the backend's
  * bit-exactness contract extends to the cache by construction.
  *
- * @p kind selects the A (WidenA: @p pad pads columns) or B layout
- * (WidenB: @p pad pads rows).
+ * @p kind selects the A layout (WidenA: row-major, @p pad pads
+ * columns) or the B layout (WidenB: widenMicroPanelsInto with @p ker's
+ * micro-panel width, @p pad pads rows).
  */
 template <typename TSrc, typename TAcc>
 const TAcc *
@@ -263,15 +231,18 @@ stageWidened(PackKind kind, const TSrc *src, std::size_t rows,
     mc_assert(for_a ? pad >= cols : pad >= rows,
               "padding below the matrix extent");
     if constexpr (std::is_same_v<TSrc, TAcc>) {
-        if (for_a ? pad == cols : pad == rows)
+        if (for_a && pad == cols)
             return src;
     }
-    const std::size_t elems = for_a ? rows * pad : pad * cols;
+    const std::size_t nr = ker.nr<TAcc>();
+    const std::size_t elems =
+        for_a ? rows * pad : pad * ((cols + nr - 1) / nr * nr);
     const auto fill = [&](TAcc *out) {
         if (for_a)
             widenPadColsInto<TSrc, TAcc>(src, rows, cols, pad, out, ker);
         else
-            widenPadRowsInto<TSrc, TAcc>(src, rows, cols, pad, out, ker);
+            widenMicroPanelsInto<TSrc, TAcc>(src, rows, cols, pad, nr,
+                                             out, ker);
     };
     if (PackCache::shouldCache(rows * cols * sizeof(TSrc))) {
         PackKey key;
@@ -298,30 +269,49 @@ stageWidened(PackKind kind, const TSrc *src, std::size_t rows,
 /**
  * The blocked driver shared by the reference and the tiled-Matrix-Core
  * entry points: D = TCD(alpha * sum_k(pa * pb) + beta * widen(C)) over
- * pre-widened operands, k ascending per element, row blocks fanned
- * across threads.
+ * staged operands — @p pa row-major (leading dimension @p lda), @p pb
+ * in @p k-deep micro-panels (widenMicroPanelsInto) — k ascending per
+ * element, row blocks fanned across threads.
+ *
+ * Inside each blockM x blockN x blockK block the tier's micro-kernel
+ * runs once per (micro-panel, MR-row group): the jr/ir loops of a BLIS
+ * macro-kernel. blockN is rounded up to whole micro-panels. Padded
+ * columns are accumulated like real ones but never stored, so a NaN
+ * that a zero padding lane makes (inf * 0) cannot reach D.
  */
 template <typename TCD, typename TAcc>
 void
 blockedGemmCore(std::size_t m, std::size_t n, std::size_t k, double alpha,
                 const TAcc *pa, std::size_t lda, const TAcc *pb,
-                std::size_t ldb, double beta, const TCD *pc, TCD *pd,
-                std::size_t ldcd, bool round_each_step,
-                const FunctionalGemmOptions &opts)
+                double beta, const TCD *pc, TCD *pd, std::size_t ldcd,
+                bool round_each_step, const FunctionalGemmOptions &opts)
 {
+    static_assert(std::is_same_v<TCD, TAcc> ||
+                      (std::is_same_v<TCD, fp::Half> &&
+                       std::is_same_v<TAcc, float>),
+                  "the combos accumulate in TCD, or in f32 for f16 D");
     mc_assert(opts.blockM >= 1 && opts.blockN >= 1 && opts.blockK >= 1,
               "block sizes must be positive");
-    const std::size_t bm = static_cast<std::size_t>(opts.blockM);
-    const std::size_t bn = static_cast<std::size_t>(opts.blockN);
-    const std::size_t bk = static_cast<std::size_t>(opts.blockK);
-    const TAcc alpha_acc = static_cast<TAcc>(alpha);
-    const TAcc beta_acc = static_cast<TAcc>(beta);
-    // Per-step rounding is the identity when TCD and TAcc coincide.
-    const bool rounding = round_each_step && !std::is_same_v<TCD, TAcc>;
     // Resolve the SIMD tier once; every worker uses the same kernels,
     // and every tier is bit-identical, so the choice never changes
     // results.
     const SimdKernels &ker = simdKernelsFor(opts.simd);
+    const std::size_t mr = ker.mr;
+    const std::size_t nr = ker.nr<TAcc>();
+    const std::size_t bm = static_cast<std::size_t>(opts.blockM);
+    const std::size_t bn =
+        (static_cast<std::size_t>(opts.blockN) + nr - 1) / nr * nr;
+    const std::size_t bk = static_cast<std::size_t>(opts.blockK);
+    const TAcc alpha_acc = static_cast<TAcc>(alpha);
+    const TAcc beta_acc = static_cast<TAcc>(beta);
+    // Per-step rounding is the identity when TCD and TAcc coincide.
+    SimdKernels::MicroFn<TAcc> micro;
+    if constexpr (std::is_same_v<TAcc, double>)
+        micro = ker.microF64;
+    else if (round_each_step && std::is_same_v<TCD, fp::Half>)
+        micro = ker.microRoundHalfF32;
+    else
+        micro = ker.microF32;
 
     exec::parallelChunks(m, bm, opts.threads, [&](std::size_t r0,
                                                   std::size_t r1) {
@@ -333,25 +323,14 @@ blockedGemmCore(std::size_t m, std::size_t n, std::size_t k, double alpha,
             std::fill_n(acc, rows * bn, TAcc(0));
             for (std::size_t k0 = 0; k0 < k; k0 += bk) {
                 const std::size_t nk = std::min(bk, k - k0);
-                const TAcc *bpanel = pb + k0 * ldb + j0;
-                for (std::size_t r = 0; r < rows; ++r) {
-                    const TAcc *arow = pa + (r0 + r) * lda + k0;
-                    TAcc *accs = acc + r * bn;
-                    if (rounding) {
-                        if constexpr (std::is_same_v<TCD, fp::Half> &&
-                                      std::is_same_v<TAcc, float>)
-                            ker.axpyRoundHalfF32(arow, bpanel, ldb, nk,
-                                                 accs, nj);
-                        else
-                            axpyPanelRound<TCD, TAcc>(arow, bpanel, ldb,
-                                                      nk, accs, nj);
-                    } else if constexpr (std::is_same_v<TAcc, float>) {
-                        ker.axpyF32(arow, bpanel, ldb, nk, accs, nj);
-                    } else if constexpr (std::is_same_v<TAcc, double>) {
-                        ker.axpyF64(arow, bpanel, ldb, nk, accs, nj);
-                    } else {
-                        axpyPanel<TAcc>(arow, bpanel, ldb, nk, accs, nj);
-                    }
+                for (std::size_t jp = 0; jp < nj; jp += nr) {
+                    // Panel (j0 + jp) / nr starts (j0 + jp) * k
+                    // elements in; its row k0 is k0 * nr further.
+                    const TAcc *bpanel = pb + (j0 + jp) * k + k0 * nr;
+                    for (std::size_t r = 0; r < rows; r += mr)
+                        micro(pa + (r0 + r) * lda + k0, lda, bpanel, nk,
+                              acc + r * bn + jp, bn,
+                              std::min(mr, rows - r));
                 }
             }
             for (std::size_t r = 0; r < rows; ++r) {

@@ -6,6 +6,8 @@
 #include <new>
 #include <string>
 
+#include <pthread.h>
+
 #include "common/logging.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -256,6 +258,16 @@ PackCache::instance()
     static PackCache cache(envConfig().disabled
                                ? 0
                                : envConfig().capacityBytes);
+    // Hold the lookup lock across fork(): a child (a forked mc_serve
+    // worker) must not inherit it locked by a thread that does not
+    // exist there.
+    // The handlers reach the cache through instance(), whose guard
+    // orders them after its construction on whichever thread ran it.
+    static const int fork_guard =
+        ::pthread_atfork([] { instance()._mutex.lock(); },
+                         [] { instance()._mutex.unlock(); },
+                         [] { instance()._mutex.unlock(); });
+    (void)fork_guard;
     return cache;
 }
 

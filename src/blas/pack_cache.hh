@@ -152,7 +152,8 @@ class PackCache
     /**
      * The shared cache. First use reads MC_PACK_CACHE ("off"/"0"
      * disables; a number sets the capacity in MB) and otherwise starts
-     * at kDefaultCapacityBytes.
+     * at kDefaultCapacityBytes. Its lock is held across fork(), so a
+     * forked child can use the cache it inherits.
      */
     static PackCache &instance();
 

@@ -28,6 +28,10 @@ struct Avx2Ops
     using Mask = __m256i;
     static constexpr std::size_t kWidthF = 8;
     static constexpr std::size_t kWidthD = 4;
+    // 6 x 2 accumulator vectors + 2 of B + broadcast + product: the
+    // 16 ymm.
+    static constexpr std::size_t kMR = 6;
+    static constexpr std::size_t kNV = 2;
 
     static VF loadF(const float *p) { return _mm256_loadu_ps(p); }
     static void storeF(float *p, VF v) { _mm256_storeu_ps(p, v); }

@@ -27,6 +27,9 @@ struct Avx512Ops
     using Mask = __mmask16;
     static constexpr std::size_t kWidthF = 16;
     static constexpr std::size_t kWidthD = 8;
+    // 6 x 4 accumulator vectors + 4 of B + 1 broadcast of the 32 zmm.
+    static constexpr std::size_t kMR = 6;
+    static constexpr std::size_t kNV = 4;
 
     static VF loadF(const float *p) { return _mm512_loadu_ps(p); }
     static void storeF(float *p, VF v) { _mm512_storeu_ps(p, v); }

@@ -27,6 +27,10 @@ struct NeonOps
     using Mask = uint32x4_t;
     static constexpr std::size_t kWidthF = 4;
     static constexpr std::size_t kWidthD = 2;
+    // 6 x 4 accumulator vectors + 4 of B + 1 broadcast of the 32 q
+    // registers.
+    static constexpr std::size_t kMR = 6;
+    static constexpr std::size_t kNV = 4;
 
     static VF loadF(const float *p) { return vld1q_f32(p); }
     static void storeF(float *p, VF v) { vst1q_f32(p, v); }

@@ -1,13 +1,15 @@
 /**
  * @file
- * The scalar tier: the retained PR-4 fast-path kernels (compiled -O3
- * in fast_gemm.cc) and the software conversion loops, wrapped into a
- * SimdKernels table. This is the baseline every vector tier must match
- * bit-for-bit, and the tier MC_SIMD=scalar pins for debugging.
+ * The scalar tier: the register-blocked micro-kernel of
+ * simd_vec_kernels.hh over one-lane "vectors" (compiled -O3 with
+ * -ffp-contract=off, see CMakeLists.txt), the software f16 round trip
+ * and the software conversion loops. It runs the same loop nest as
+ * every vector tier, so the tier memcmp matrix compares arithmetic,
+ * not loop structure; this is the baseline every vector tier must
+ * match bit-for-bit, and the tier MC_SIMD=scalar pins for debugging.
  */
 
-#include "blas/fast_gemm.hh"
-#include "blas/simd_kernels.hh"
+#include "blas/simd_vec_kernels.hh"
 #include "fp/convert.hh"
 
 namespace mc {
@@ -16,40 +18,44 @@ namespace detail {
 
 namespace {
 
-void
-axpyF32(const float *arow, const float *bpanel, std::size_t ldb,
-        std::size_t nk, float *accs, std::size_t nj)
+struct ScalarOps
 {
-    axpyPanel<float>(arow, bpanel, ldb, nk, accs, nj);
-}
+    using VF = float;
+    using VD = double;
+    using VI = std::uint32_t;
+    static constexpr std::size_t kWidthF = 1;
+    static constexpr std::size_t kWidthD = 1;
+    // 3 x 4 accumulators + 4 of B + 1 broadcast: the 16 xmm that
+    // scalar float code runs in.
+    static constexpr std::size_t kMR = 3;
+    static constexpr std::size_t kNV = 4;
 
-void
-axpyRoundHalfF32(const float *arow, const float *bpanel, std::size_t ldb,
-                 std::size_t nk, float *accs, std::size_t nj)
-{
-    axpyPanelRound<fp::Half, float>(arow, bpanel, ldb, nk, accs, nj);
-}
+    static VF loadF(const float *p) { return *p; }
+    static void storeF(float *p, VF v) { *p = v; }
+    static VF set1F(float v) { return v; }
+    static VF addF(VF a, VF b) { return a + b; }
+    static VF mulF(VF a, VF b) { return a * b; }
 
-void
-axpyF64(const double *arow, const double *bpanel, std::size_t ldb,
-        std::size_t nk, double *accs, std::size_t nj)
-{
-    axpyPanel<double>(arow, bpanel, ldb, nk, accs, nj);
-}
+    static VD loadD(const double *p) { return *p; }
+    static void storeD(double *p, VD v) { *p = v; }
+    static VD set1D(double v) { return v; }
+    static VD addD(VD a, VD b) { return a + b; }
+    static VD mulD(VD a, VD b) { return a * b; }
+
+    static VF roundTripHalf(VF v) { return fp::Half(v).toFloat(); }
+};
 
 } // namespace
 
 const SimdKernels &
 scalarSimdKernels()
 {
-    static const SimdKernels kernels = {
-        .tier = SimdTier::Scalar,
-        .axpyF32 = axpyF32,
-        .axpyRoundHalfF32 = axpyRoundHalfF32,
-        .axpyF64 = axpyF64,
-        .widenHalfToF32 = fp::widenHalfBits,
-        .widenBf16ToF32 = fp::widenBf16Bits,
-    };
+    static const SimdKernels kernels = [] {
+        SimdKernels ker = makeMicroKernels<ScalarOps>(SimdTier::Scalar);
+        ker.widenHalfToF32 = fp::widenHalfBits;
+        ker.widenBf16ToF32 = fp::widenBf16Bits;
+        return ker;
+    }();
     return kernels;
 }
 

@@ -26,6 +26,10 @@ struct Sse2Ops
     using Mask = __m128i;
     static constexpr std::size_t kWidthF = 4;
     static constexpr std::size_t kWidthD = 2;
+    // 6 x 2 accumulator vectors + 2 of B + broadcast + product: the
+    // 16 xmm.
+    static constexpr std::size_t kMR = 6;
+    static constexpr std::size_t kNV = 2;
 
     static VF loadF(const float *p) { return _mm_loadu_ps(p); }
     static void storeF(float *p, VF v) { _mm_storeu_ps(p, v); }

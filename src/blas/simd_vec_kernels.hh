@@ -2,19 +2,23 @@
  * @file
  * The tier-generic SIMD micro-kernel algorithms, templated over a
  * per-ISA `Ops` wrapper (simd_sse2.cc / simd_avx2.cc / simd_avx512.cc
- * / simd_neon.cc define one each and instantiate makeVecKernels). Only
- * those translation units may include this header: they are compiled
- * with the matching -m<isa> flag plus -ffp-contract=off, which is what
- * keeps the algorithms below bit-exact.
+ * / simd_neon.cc, and the one-lane simd_scalar.cc, define one each and
+ * instantiate makeVecKernels). Only those translation units may
+ * include this header: they are compiled with the matching -m<isa>
+ * flag plus -ffp-contract=off, which is what keeps the algorithms
+ * below bit-exact.
  *
  * Why every kernel is bit-identical to the scalar tier:
  *
- *  - The axpy panels vectorize across j (columns). Different j are
- *    different accumulators, so W lanes of "acc += av * b" perform the
- *    same two roundings per element, in the same ascending-k order, as
- *    the scalar loop — PROVIDED mul and add stay separate. The TU's
+ *  - The micro-kernel holds an Ops::kMR-row x Ops::kNV-vector block
+ *    of accumulators and vectorizes across j (columns). Every (row,
+ *    lane) is its own accumulator, so each one performs the same two
+ *    roundings per k step, in the same ascending-k order, as the
+ *    scalar loop — PROVIDED mul and add stay separate. The TU's
  *    -ffp-contract=off (and the absence of -mfma) pins that; a fused
- *    mul-add would skip the product rounding and change bits.
+ *    mul-add would skip the product rounding and change bits. The
+ *    block shape (MR, NV) only decides which accumulators share a
+ *    register pass, so it never changes bits either.
  *  - The round_each_step chain's f16 round trip is a per-Ops
  *    primitive (roundTripHalf below). The avx2 and avx512 Ops supply
  *    the hardware converts: vcvtps2ph with the RNE immediate equals
@@ -49,6 +53,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "blas/simd_kernels.hh"
 #include "fp/bfloat16.hh"
@@ -58,14 +63,40 @@ namespace mc {
 namespace blas {
 namespace detail {
 
+/** One accumulator type's lanes: the f32 or f64 half of Ops. */
+template <typename Ops, typename T>
+struct Lanes;
+
+template <typename Ops>
+struct Lanes<Ops, float>
+{
+    using V = typename Ops::VF;
+    static constexpr std::size_t kWidth = Ops::kWidthF;
+    static V load(const float *p) { return Ops::loadF(p); }
+    static void store(float *p, V v) { Ops::storeF(p, v); }
+    static V set1(float v) { return Ops::set1F(v); }
+    static V add(V a, V b) { return Ops::addF(a, b); }
+    static V mul(V a, V b) { return Ops::mulF(a, b); }
+};
+
+template <typename Ops>
+struct Lanes<Ops, double>
+{
+    using V = typename Ops::VD;
+    static constexpr std::size_t kWidth = Ops::kWidthD;
+    static V load(const double *p) { return Ops::loadD(p); }
+    static void store(double *p, V v) { Ops::storeD(p, v); }
+    static V set1(double v) { return Ops::set1D(v); }
+    static V add(V a, V b) { return Ops::addD(a, b); }
+    static V mul(V a, V b) { return Ops::mulD(a, b); }
+};
+
 template <typename Ops>
 struct VecKernels
 {
     using VF = typename Ops::VF;
-    using VD = typename Ops::VD;
     using VI = typename Ops::VI;
     static constexpr std::size_t WF = Ops::kWidthF;
-    static constexpr std::size_t WD = Ops::kWidthD;
 
     // ---- f32 <-> f16 lane conversions (f32 bits in, f16 bits out,
     // both in 32-bit lanes) ----------------------------------------
@@ -133,112 +164,72 @@ struct VecKernels
         return Ops::orI(bits, sign);
     }
 
-    // ---- axpy panels ----------------------------------------------
+    // ---- the register-blocked micro-kernel -----------------------
 
-    // The panel loops run j-outer / kk-inner: a group of accumulator
-    // vectors is loaded once, consumes the whole k-block from
-    // registers, and is stored once. Relative to the textbook kk-outer
-    // order this removes the per-step accumulator load/store (3 memory
-    // ops per mul+add become 1) without touching the bits: element j's
-    // accumulator still receives its k-terms one at a time, ascending.
-
+    /**
+     * acc[r * ldacc + j] += a[r * lda + kk] * bpanel[kk * NR + j] for
+     * r < R, j < NR = kNV * W, kk < nk ascending (the SimdKernels
+     * MicroFn contract at a fixed row count). The R x kNV accumulator
+     * vectors are loaded once, consume the whole k-block from
+     * registers, and are stored once; each k step loads kNV vectors of
+     * B and broadcasts R values of A. With kRoundHalf every sum is
+     * rounded to binary16 and widened back (the round_each_step chain);
+     * the round trip's latency sits on each accumulator's own chain,
+     * and the R * kNV chains are what keep the converts busy.
+     */
+    template <typename T, std::size_t R, bool kRoundHalf>
     static void
-    axpyF32(const float *arow, const float *bpanel, std::size_t ldb,
-            std::size_t nk, float *accs, std::size_t nj)
+    microBlock(const T *a, std::size_t lda, const T *bpanel,
+               std::size_t nk, T *acc, std::size_t ldacc)
     {
-        std::size_t j = 0;
-        for (; j + 4 * WF <= nj; j += 4 * WF) {
-            VF acc0 = Ops::loadF(accs + j);
-            VF acc1 = Ops::loadF(accs + j + WF);
-            VF acc2 = Ops::loadF(accs + j + 2 * WF);
-            VF acc3 = Ops::loadF(accs + j + 3 * WF);
-            const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                const VF av = Ops::set1F(arow[kk]);
-                const VF p0 = Ops::mulF(av, Ops::loadF(brow));
-                const VF p1 = Ops::mulF(av, Ops::loadF(brow + WF));
-                const VF p2 = Ops::mulF(av, Ops::loadF(brow + 2 * WF));
-                const VF p3 = Ops::mulF(av, Ops::loadF(brow + 3 * WF));
-                acc0 = Ops::addF(acc0, p0);
-                acc1 = Ops::addF(acc1, p1);
-                acc2 = Ops::addF(acc2, p2);
-                acc3 = Ops::addF(acc3, p3);
+        using L = Lanes<Ops, T>;
+        using V = typename L::V;
+        constexpr std::size_t NV = Ops::kNV;
+        constexpr std::size_t W = L::kWidth;
+        V c[R][NV];
+        for (std::size_t r = 0; r < R; ++r)
+            for (std::size_t v = 0; v < NV; ++v)
+                c[r][v] = L::load(acc + r * ldacc + v * W);
+        for (std::size_t kk = 0; kk < nk; ++kk, bpanel += NV * W) {
+            V b[NV];
+            for (std::size_t v = 0; v < NV; ++v)
+                b[v] = L::load(bpanel + v * W);
+            for (std::size_t r = 0; r < R; ++r) {
+                const V av = L::set1(a[r * lda + kk]);
+                for (std::size_t v = 0; v < NV; ++v) {
+                    const V sum = L::add(c[r][v], L::mul(av, b[v]));
+                    if constexpr (kRoundHalf)
+                        c[r][v] = roundTripHalf(sum);
+                    else
+                        c[r][v] = sum;
+                }
             }
-            Ops::storeF(accs + j, acc0);
-            Ops::storeF(accs + j + WF, acc1);
-            Ops::storeF(accs + j + 2 * WF, acc2);
-            Ops::storeF(accs + j + 3 * WF, acc3);
         }
-        for (; j + WF <= nj; j += WF) {
-            VF acc = Ops::loadF(accs + j);
-            const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                const VF p = Ops::mulF(Ops::set1F(arow[kk]),
-                                       Ops::loadF(brow));
-                acc = Ops::addF(acc, p);
-            }
-            Ops::storeF(accs + j, acc);
-        }
-        for (; j < nj; ++j) {
-            float acc = accs[j];
-            const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                acc += arow[kk] * *brow;
-            }
-            accs[j] = acc;
-        }
+        for (std::size_t r = 0; r < R; ++r)
+            for (std::size_t v = 0; v < NV; ++v)
+                L::store(acc + r * ldacc + v * W, c[r][v]);
     }
 
+    /** The MicroFn entry: microBlock at rows (1..kMR) rows. Leftover
+     *  row groups run the same loop with fewer rows. */
+    template <typename T, bool kRoundHalf>
     static void
-    axpyF64(const double *arow, const double *bpanel, std::size_t ldb,
-            std::size_t nk, double *accs, std::size_t nj)
+    micro(const T *a, std::size_t lda, const T *bpanel, std::size_t nk,
+          T *acc, std::size_t ldacc, std::size_t rows)
     {
-        std::size_t j = 0;
-        for (; j + 4 * WD <= nj; j += 4 * WD) {
-            VD acc0 = Ops::loadD(accs + j);
-            VD acc1 = Ops::loadD(accs + j + WD);
-            VD acc2 = Ops::loadD(accs + j + 2 * WD);
-            VD acc3 = Ops::loadD(accs + j + 3 * WD);
-            const double *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                const VD av = Ops::set1D(arow[kk]);
-                const VD p0 = Ops::mulD(av, Ops::loadD(brow));
-                const VD p1 = Ops::mulD(av, Ops::loadD(brow + WD));
-                const VD p2 = Ops::mulD(av, Ops::loadD(brow + 2 * WD));
-                const VD p3 = Ops::mulD(av, Ops::loadD(brow + 3 * WD));
-                acc0 = Ops::addD(acc0, p0);
-                acc1 = Ops::addD(acc1, p1);
-                acc2 = Ops::addD(acc2, p2);
-                acc3 = Ops::addD(acc3, p3);
-            }
-            Ops::storeD(accs + j, acc0);
-            Ops::storeD(accs + j + WD, acc1);
-            Ops::storeD(accs + j + 2 * WD, acc2);
-            Ops::storeD(accs + j + 3 * WD, acc3);
-        }
-        for (; j + WD <= nj; j += WD) {
-            VD acc = Ops::loadD(accs + j);
-            const double *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                const VD p = Ops::mulD(Ops::set1D(arow[kk]),
-                                       Ops::loadD(brow));
-                acc = Ops::addD(acc, p);
-            }
-            Ops::storeD(accs + j, acc);
-        }
-        for (; j < nj; ++j) {
-            double acc = accs[j];
-            const double *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb) {
-                acc += arow[kk] * *brow;
-            }
-            accs[j] = acc;
-        }
+        [&]<std::size_t... R>(std::index_sequence<R...>) {
+            ((rows == R + 1
+                  ? microBlock<T, R + 1, kRoundHalf>(a, lda, bpanel, nk,
+                                                     acc, ldacc)
+                  : void()),
+             ...);
+        }(std::make_index_sequence<Ops::kMR>{});
     }
 
     /** One f16 round trip per lane, f32(f16(acc)) with Half's RNE:
      *  the tier's own Ops::roundTripHalf when it has one (the hardware
-     *  converts of avx2/avx512), else the integer emulation above. */
+     *  converts of avx2/avx512, the software Half of the scalar tier),
+     *  else the integer emulation above. */
     static VF
     roundTripHalf(VF acc)
     {
@@ -247,62 +238,6 @@ struct VecKernels
         else
             return Ops::castI2F(
                 widenLanesHalf(narrowLanesHalf(Ops::castF2I(acc))));
-    }
-
-    /** N independent round_each_step chains, one per vector of
-     *  accs[0, N*WF): loaded once, fed the whole k-block, stored once.
-     *  The round trip's latency sits on each chain's critical path, so
-     *  the chains are what keep the converts (or the integer
-     *  emulation) busy. */
-    template <std::size_t N>
-    static void
-    roundHalfChains(const float *arow, const float *bpanel,
-                    std::size_t ldb, std::size_t nk, float *accs)
-    {
-        VF acc[N];
-        for (std::size_t v = 0; v < N; ++v)
-            acc[v] = Ops::loadF(accs + v * WF);
-        for (std::size_t kk = 0; kk < nk; ++kk, bpanel += ldb) {
-            const VF av = Ops::set1F(arow[kk]);
-            for (std::size_t v = 0; v < N; ++v)
-                acc[v] = roundTripHalf(Ops::addF(
-                    acc[v], Ops::mulF(av, Ops::loadF(bpanel + v * WF))));
-        }
-        for (std::size_t v = 0; v < N; ++v)
-            Ops::storeF(accs + v * WF, acc[v]);
-    }
-
-    /** The round_each_step HGEMM chain: the f16 round trip stays in
-     *  32-bit lanes, so one narrow+widen per mul-add, no packing. A
-     *  default 128-column panel runs as groups of 8 chains; the rest
-     *  falls to 4-, 2- and 1-chain groups, then scalar columns. */
-    static void
-    axpyRoundHalfF32(const float *arow, const float *bpanel,
-                     std::size_t ldb, std::size_t nk, float *accs,
-                     std::size_t nj)
-    {
-        std::size_t j = 0;
-        for (; j + 8 * WF <= nj; j += 8 * WF)
-            roundHalfChains<8>(arow, bpanel + j, ldb, nk, accs + j);
-        if (j + 4 * WF <= nj) {
-            roundHalfChains<4>(arow, bpanel + j, ldb, nk, accs + j);
-            j += 4 * WF;
-        }
-        if (j + 2 * WF <= nj) {
-            roundHalfChains<2>(arow, bpanel + j, ldb, nk, accs + j);
-            j += 2 * WF;
-        }
-        if (j + WF <= nj) {
-            roundHalfChains<1>(arow, bpanel + j, ldb, nk, accs + j);
-            j += WF;
-        }
-        for (; j < nj; ++j) {
-            float acc = accs[j];
-            const float *brow = bpanel + j;
-            for (std::size_t kk = 0; kk < nk; ++kk, brow += ldb)
-                acc = fp::Half(acc + arow[kk] * *brow).toFloat();
-            accs[j] = acc;
-        }
     }
 
     // ---- batched conversions --------------------------------------
@@ -331,20 +266,34 @@ struct VecKernels
     }
 };
 
-/** Build the dispatch table of one tier from its Ops wrapper. */
+/** The micro-kernel half of one tier's dispatch table: block shape,
+ *  micro-panel widths and the three MicroFn entries. */
+template <typename Ops>
+SimdKernels
+makeMicroKernels(SimdTier tier)
+{
+    using K = VecKernels<Ops>;
+    SimdKernels ker;
+    ker.tier = tier;
+    ker.mr = Ops::kMR;
+    ker.nrF32 = Ops::kNV * Ops::kWidthF;
+    ker.nrF64 = Ops::kNV * Ops::kWidthD;
+    ker.microF32 = K::template micro<float, false>;
+    ker.microRoundHalfF32 = K::template micro<float, true>;
+    ker.microF64 = K::template micro<double, false>;
+    return ker;
+}
+
+/** Build the dispatch table of one vector tier from its Ops wrapper. */
 template <typename Ops>
 SimdKernels
 makeVecKernels(SimdTier tier)
 {
     using K = VecKernels<Ops>;
-    return SimdKernels{
-        .tier = tier,
-        .axpyF32 = K::axpyF32,
-        .axpyRoundHalfF32 = K::axpyRoundHalfF32,
-        .axpyF64 = K::axpyF64,
-        .widenHalfToF32 = K::widenHalf,
-        .widenBf16ToF32 = K::widenBf16,
-    };
+    SimdKernels ker = makeMicroKernels<Ops>(tier);
+    ker.widenHalfToF32 = K::widenHalf;
+    ker.widenBf16ToF32 = K::widenBf16;
+    return ker;
 }
 
 } // namespace detail

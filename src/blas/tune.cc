@@ -10,6 +10,8 @@
 #include <mutex>
 #include <sstream>
 
+#include <pthread.h>
+
 #include "arch/calibration.hh"
 #include "common/atomic_file.hh"
 #include "common/hash.hh"
@@ -108,6 +110,13 @@ struct ActiveTuning
 };
 
 std::mutex g_tune_mutex;
+// Held across fork(): every GEMM resolves its options through this
+// lock, so a forked child (an mc_serve worker) must not inherit it
+// locked by a thread that does not exist there.
+const int g_tune_fork_guard =
+    ::pthread_atfork([] { g_tune_mutex.lock(); },
+                     [] { g_tune_mutex.unlock(); },
+                     [] { g_tune_mutex.unlock(); });
 ActiveTuning g_tuning;
 bool g_env_loaded = false;
 

@@ -22,12 +22,13 @@ namespace {
 /**
  * Fill the @p rows x @p cols row-major block at @p p per @p scheme:
  * the paper's ones (the identity when @p identity, for B), or uniform
- * draws in row-major order (over the whole int8 range for int8).
+ * draws in row-major order (int8 on [-i8_span, i8_span], clipped to
+ * the int8 range).
  */
 template <typename T>
 void
 fillScheme(T *p, std::size_t rows, std::size_t cols, VerifyScheme scheme,
-           bool identity, Rng &rng)
+           bool identity, int i8_span, Rng &rng)
 {
     for (std::size_t i = 0; i < rows; ++i) {
         for (std::size_t j = 0; j < cols; ++j) {
@@ -35,8 +36,9 @@ fillScheme(T *p, std::size_t rows, std::size_t cols, VerifyScheme scheme,
             if (scheme == VerifyScheme::PaperOnesIdentity)
                 v = T((!identity || i == j) ? 1.0f : 0.0f);
             else if constexpr (std::is_same_v<T, std::int8_t>)
-                v = static_cast<std::int8_t>(
-                    std::lround(rng.uniform(-128.0, 127.0)));
+                v = static_cast<std::int8_t>(std::clamp<long>(
+                    std::lround(rng.uniform(-i8_span, i8_span)), -128,
+                    127));
             else
                 v = T(static_cast<float>(rng.uniform(-1.0, 1.0)));
         }
@@ -66,12 +68,17 @@ struct Operands
           c(entries * config.m, config.n)
     {
         const std::size_t m = config.m, n = config.n, k = config.k;
+        // int8 A and B draw from a k-sized range; C spans all of int8.
+        const int span = randomSchemeI8HalfWidth(
+            k, effectiveQuantScale(config.alpha, config.quant));
         // Draw order: B, then each entry's A and C.
         Rng rng(seed);
-        fillScheme(b.data(), k, n, scheme, true, rng);
+        fillScheme(b.data(), k, n, scheme, true, span, rng);
         for (std::size_t e = 0; e < entries; ++e) {
-            fillScheme(a.data() + e * m * k, m, k, scheme, false, rng);
-            fillScheme(c.data() + e * m * n, m, n, scheme, false, rng);
+            fillScheme(a.data() + e * m * k, m, k, scheme, false, span,
+                       rng);
+            fillScheme(c.data() + e * m * n, m, n, scheme, false, 128,
+                       rng);
         }
     }
 };
@@ -295,6 +302,19 @@ runI8(const GemmConfig &config, const GemmPlan &plan, VerifyScheme scheme,
 }
 
 } // namespace
+
+int
+randomSchemeI8HalfWidth(std::size_t k, double eff_scale)
+{
+    // A uniform draw on [-r, r] has variance about r^2 / 3, so the
+    // accumulator sum_k a*b has a standard deviation of about
+    // (r^2 / 3) * sqrt(k); aim the output's at 40 of the 127.
+    const double depth = static_cast<double>(std::max<std::size_t>(k, 1));
+    const double r2 = 3.0 * 40.0 / (std::abs(eff_scale) * std::sqrt(depth));
+    if (!(r2 < 127.0 * 127.0))
+        return 127;
+    return std::max(1, static_cast<int>(std::lround(std::sqrt(r2))));
+}
 
 std::vector<std::size_t>
 verifySampleRows(std::size_t m, std::size_t block_m, std::uint64_t seed)

@@ -79,6 +79,16 @@ inline constexpr std::size_t kMaxVerifyBatchEntries = 4;
 inline constexpr std::size_t kVerifySampleRows = 8;
 
 /**
+ * The half-width r of the random scheme's int8 A and B draws (uniform
+ * on [-r, r]): sized from the depth @p k and the effective requantize
+ * scale @p eff_scale (effectiveQuantScale) so that the outputs spread
+ * over about a third of the int8 range. Over the whole int8 range
+ * nearly every output saturates at +-127, and a saturated element
+ * cannot show a kernel fault.
+ */
+int randomSchemeI8HalfWidth(std::size_t k, double eff_scale);
+
+/**
  * The rows of an @p m -row entry that verifyGemm compares with the
  * scalar reference: min(m, kVerifySampleRows) distinct rows in
  * ascending order. They always include row 0, the last row of the

@@ -6,6 +6,9 @@
 #include <exception>
 #include <mutex>
 
+#include <pthread.h>
+#include <unistd.h>
+
 #include "common/logging.hh"
 
 namespace mc {
@@ -102,18 +105,69 @@ concurrencyCap()
     return g_concurrency_cap.load(std::memory_order_relaxed);
 }
 
+namespace {
+
+/** The pid this process started with: any other pid is a fork()
+ *  child's. */
+const pid_t g_start_pid = ::getpid();
+
+/**
+ * The shared pool and the pid of the process that built it. A fork()
+ * child inherits both, but none of the pool's worker threads: tasks
+ * posted there would never run, and destroying the pool would join
+ * threads that do not exist. The mutex is held across fork() (the
+ * pthread_atfork pair below), so a child never inherits it locked by
+ * a thread that is gone.
+ */
+struct SharedPoolState
+{
+    std::mutex mutex;
+    std::shared_ptr<ThreadPool> pool;
+    pid_t owner = 0;
+
+    SharedPoolState()
+    {
+        ::pthread_atfork([] { state().mutex.lock(); },
+                         [] { state().mutex.unlock(); },
+                         [] { state().mutex.unlock(); });
+    }
+
+    ~SharedPoolState() { releaseInherited(); }
+
+    /** Drop a pool inherited across fork() without destroying it:
+     *  leaked on purpose, because its destructor would join threads
+     *  that never ran in this process. */
+    void
+    releaseInherited()
+    {
+        if (pool && owner != ::getpid())
+            new std::shared_ptr<ThreadPool>(std::move(pool));
+    }
+
+    static SharedPoolState &
+    state()
+    {
+        static SharedPoolState shared;
+        return shared;
+    }
+};
+
+} // namespace
+
 std::shared_ptr<ThreadPool>
 sharedPool(int min_threads)
 {
-    static std::mutex mutex;
-    static std::shared_ptr<ThreadPool> pool;
+    SharedPoolState &shared = SharedPoolState::state();
     if (min_threads < 1)
         min_threads = ThreadPool::hardwareThreads();
     min_threads = capThreads(min_threads);
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!pool || pool->threadCount() < min_threads)
-        pool = std::make_shared<ThreadPool>(min_threads);
-    return pool;
+    std::lock_guard<std::mutex> lock(shared.mutex);
+    shared.releaseInherited();
+    if (!shared.pool || shared.pool->threadCount() < min_threads) {
+        shared.pool = std::make_shared<ThreadPool>(min_threads);
+        shared.owner = ::getpid();
+    }
+    return shared.pool;
 }
 
 void
@@ -127,7 +181,10 @@ parallelChunks(std::size_t count, std::size_t chunk, int threads,
         threads = ThreadPool::hardwareThreads();
     threads = capThreads(threads);
     const std::size_t chunks = (count + chunk - 1) / chunk;
-    if (threads == 1 || chunks == 1) {
+    // A fork() child runs serially: the parent's pool has no workers
+    // here, and a child of a multi-threaded process should not start
+    // threads. Chunk results never depend on the thread count.
+    if (threads == 1 || chunks == 1 || ::getpid() != g_start_pid) {
         for (std::size_t begin = 0; begin < count; begin += chunk)
             fn(begin, std::min(count, begin + chunk));
         return;

@@ -86,7 +86,9 @@ class ThreadPool
  * concurrency), growing by *replacement* when a larger request
  * arrives: callers hold the returned shared_ptr for the duration of
  * their fan-out, so a replaced pool stays alive until its last
- * in-flight user drops it and no task is ever stranded.
+ * in-flight user drops it and no task is ever stranded. The pool
+ * records the pid that built it: a fork() child, which inherits the
+ * pool but none of its threads, gets a fresh pool of its own.
  */
 std::shared_ptr<ThreadPool> sharedPool(int min_threads);
 
@@ -120,7 +122,7 @@ int concurrencyCap();
  *
  * Chunks must be independent. Because the caller drains the counter
  * itself, a call made from a shared-pool worker completes even when
- * no other worker is free.
+ * no other worker is free. In a fork() child every call is serial.
  */
 void parallelChunks(std::size_t count, std::size_t chunk, int threads,
                     const std::function<void(std::size_t, std::size_t)> &fn);

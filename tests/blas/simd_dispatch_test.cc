@@ -86,9 +86,12 @@ TEST(SimdDispatch, KernelTablesCarryTheirTierAndAreFullyPopulated)
     for (SimdTier tier : availableSimdTiers()) {
         const SimdKernels &ker = simdKernels(tier);
         EXPECT_EQ(ker.tier, tier) << simdTierName(tier);
-        EXPECT_NE(ker.axpyF32, nullptr);
-        EXPECT_NE(ker.axpyRoundHalfF32, nullptr);
-        EXPECT_NE(ker.axpyF64, nullptr);
+        EXPECT_NE(ker.microF32, nullptr);
+        EXPECT_NE(ker.microRoundHalfF32, nullptr);
+        EXPECT_NE(ker.microF64, nullptr);
+        EXPECT_GE(ker.mr, 1u);
+        EXPECT_GE(ker.nrF32, 1u);
+        EXPECT_GE(ker.nrF64, 1u);
         EXPECT_NE(ker.widenHalfToF32, nullptr);
         EXPECT_NE(ker.widenBf16ToF32, nullptr);
     }

@@ -11,14 +11,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "blas/fast_gemm.hh"
 #include "blas/functional.hh"
 #include "blas/simd_dispatch.hh"
+#include "blas/simd_kernels.hh"
 #include "common/random.hh"
 
 namespace mc {
@@ -261,6 +266,148 @@ TEST_P(SimdTierTest, Bf16OperandPacking)
 {
     expectTierMatchesScalarTier<float, fp::BFloat16, float>(GetParam(),
                                                             false);
+}
+
+/** @p tier at threads 1/2/8, the scalar tier, and scalarReferenceGemm
+ *  on one operand set under one explicit blocking: all bit-identical. */
+template <typename TCD, typename TAB, typename TAcc>
+void
+expectTierMatchesBothReferences(SimdTier tier, bool round_each_step,
+                                int block_m, int block_n, int block_k,
+                                const Matrix<TAB> &a, const Matrix<TAB> &b,
+                                const Matrix<TCD> &c, const char *what)
+{
+    const BlockConfig blocks{what, block_m, block_n, block_k, {}};
+    Matrix<TCD> d_ref(c.rows(), c.cols());
+    scalarReferenceGemm<TCD, TAB, TAcc>(1.25, a, b, -0.5, c, d_ref,
+                                        round_each_step);
+    Matrix<TCD> d_scalar(c.rows(), c.cols());
+    referenceGemm<TCD, TAB, TAcc>(1.25, a, b, -0.5, c, d_scalar,
+                                  round_each_step,
+                                  tierOptions(SimdTier::Scalar, 1, blocks));
+    const auto context = [&](int threads) {
+        return ::testing::Message()
+               << "tier=" << simdTierName(tier) << " case=\"" << what
+               << "\" shape " << a.rows() << "x" << b.cols() << "x"
+               << a.cols() << " blocks " << block_m << "x" << block_n
+               << "x" << block_k << " threads=" << threads
+               << " round_each_step=" << round_each_step;
+    };
+    EXPECT_TRUE(bitIdentical(d_ref, d_scalar)) << context(1);
+    for (int threads : {1, 2, 8}) {
+        Matrix<TCD> d_tier(c.rows(), c.cols());
+        referenceGemm<TCD, TAB, TAcc>(1.25, a, b, -0.5, c, d_tier,
+                                      round_each_step,
+                                      tierOptions(tier, threads, blocks));
+        EXPECT_TRUE(bitIdentical(d_ref, d_tier)) << context(threads);
+    }
+}
+
+/** One register-block edge: a shape under one explicit blocking. */
+struct EdgeCase
+{
+    const char *what;
+    Shape shape;
+    int blockM, blockN, blockK;
+};
+
+/** The edges of a tier's MR x NR register block: every m % MR at a
+ *  row-block edge, n = NR - 1, NR, NR + 1 inside one block, a blockN
+ *  that is not a multiple of NR and one below NR, and k = 1. */
+std::vector<EdgeCase>
+registerBlockEdges(std::size_t mr, std::size_t nr)
+{
+    const int MR = static_cast<int>(mr);
+    const int NR = static_cast<int>(nr);
+    const auto shape = [](int m, int n, int k) {
+        return Shape{static_cast<std::size_t>(m),
+                     static_cast<std::size_t>(n),
+                     static_cast<std::size_t>(k)};
+    };
+    std::vector<EdgeCase> cases;
+    // blockM = 2 MR + rem leaves rem rows in the last group of every
+    // block, and m = 2 blockM + rem a last block of rem rows.
+    for (int rem = 1; rem < MR; ++rem) {
+        const int bm = 2 * MR + rem;
+        cases.push_back({"m % MR at a row-block edge",
+                         shape(2 * bm + rem, NR + 3, 9), bm, 2 * NR, 16});
+    }
+    for (int dn : {-1, 0, 1})
+        cases.push_back({"n = NR +- 1 inside a block",
+                         shape(MR + 1, NR + dn, 11), 2 * MR, 2 * NR, 8});
+    cases.push_back({"blockN not a multiple of NR",
+                     shape(MR + 2, 3 * NR + 5, 13), 2 * MR,
+                     NR + NR / 2 + 1, 8});
+    cases.push_back({"blockN < NR", shape(MR + 2, 3 * NR + 5, 13), 2 * MR,
+                     std::max(1, NR / 2 - 1), 8});
+    cases.push_back({"k = 1", shape(2 * MR + 1, NR + 1, 1), MR, NR, 4});
+    return cases;
+}
+
+template <typename TCD, typename TAB, typename TAcc>
+void
+expectRegisterBlockEdgesMatch(SimdTier tier, bool round_each_step)
+{
+    const SimdKernels &ker = simdKernels(tier);
+    for (const EdgeCase &e : registerBlockEdges(ker.mr, ker.nr<TAcc>())) {
+        const Shape &s = e.shape;
+        Rng rng(0xed9e + s.m * 131 + s.n * 17 + s.k);
+        const auto a = randomMatrix<TAB>(rng, s.m, s.k);
+        const auto b = randomMatrix<TAB>(rng, s.k, s.n);
+        const auto c = randomMatrix<TCD>(rng, s.m, s.n);
+        expectTierMatchesBothReferences<TCD, TAB, TAcc>(
+            tier, round_each_step, e.blockM, e.blockN, e.blockK, a, b, c,
+            e.what);
+    }
+}
+
+TEST_P(SimdTierTest, RegisterBlockEdges)
+{
+    expectRegisterBlockEdgesMatch<float, float, float>(GetParam(), false);
+    expectRegisterBlockEdgesMatch<double, double, double>(GetParam(),
+                                                          false);
+    expectRegisterBlockEdgesMatch<fp::Half, fp::Half, float>(GetParam(),
+                                                             true);
+}
+
+/** Rows of A holding +inf, and +inf and -inf, with n = NR + 1: the
+ *  zero-padded B columns of the last micro-panel turn those rows'
+ *  padding lanes into NaN (inf * 0), which must never reach D. */
+template <typename T>
+void
+expectInfRowsMatch(SimdTier tier)
+{
+    const SimdKernels &ker = simdKernels(tier);
+    const std::size_t m = 2 * ker.mr + 1;
+    const std::size_t n = ker.nr<T>() + 1;
+    const std::size_t k = 5;
+    Rng rng(0x1f1f);
+    auto a = randomMatrix<T>(rng, m, k);
+    const auto b = randomMatrix<T>(rng, k, n);
+    const auto c = randomMatrix<T>(rng, m, n);
+    const T inf = std::numeric_limits<T>::infinity();
+    a(0, 0) = inf;
+    a(1, 1) = inf;
+    a(1, 3) = -inf;
+    a(m - 1, 2) = -inf;
+    expectTierMatchesBothReferences<T, T, T>(
+        tier, false, static_cast<int>(m), static_cast<int>(n), 4, a, b, c,
+        "inf in A, NaN in the padding lanes");
+
+    Matrix<T> d(m, n);
+    scalarReferenceGemm<T, T, T>(1.25, a, b, -0.5, c, d, false);
+    bool finite_rows = true;
+    for (std::size_t i = 2; i + 1 < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            finite_rows &= std::isfinite(d(i, j));
+    EXPECT_TRUE(finite_rows) << "rows without inf must stay finite";
+    EXPECT_TRUE(std::isinf(d(0, 0)));
+}
+
+TEST_P(SimdTierTest, InfInAPaddingLanesNeverReachD)
+{
+    expectInfRowsMatch<float>(GetParam());
+    expectInfRowsMatch<double>(GetParam());
 }
 
 /** The scalar tier against scalarReferenceGemm on one operand set,

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -17,6 +18,7 @@
 
 #include "blas/batched_gemm.hh"
 #include "blas/functional.hh"
+#include "blas/int8_gemm.hh"
 #include "blas/verify.hh"
 #include "common/random.hh"
 
@@ -111,6 +113,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GemmCombo> &info) {
         return std::string(comboInfo(info.param).name);
     });
+
+/** The random scheme's int8 operands keep most outputs off the +-127
+ *  clamp at the paper's alpha = 0.1, at the smallest and the largest
+ *  verified depth: a saturated element cannot show a kernel fault. */
+TEST(VerifyRandomScheme, FewInt8OutputsSaturate)
+{
+    const std::size_t m = 16;
+    for (std::size_t n : {std::size_t{32}, std::size_t{2048}}) {
+        const QuantParams qp;
+        const int span =
+            randomSchemeI8HalfWidth(n, effectiveQuantScale(0.1, qp));
+        Rng rng(n);
+        const auto draw = [&](std::size_t rows, std::size_t cols, int r) {
+            Matrix<std::int8_t> x(rows, cols);
+            for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t j = 0; j < cols; ++j)
+                    x(i, j) = static_cast<std::int8_t>(std::clamp<long>(
+                        std::lround(rng.uniform(-r, r)), -128, 127));
+            return x;
+        };
+        const auto b = draw(n, n, span);
+        const auto a = draw(m, n, span);
+        const auto c = draw(m, n, 128);
+        Matrix<std::int8_t> d(m, n);
+        scalarQuantizedGemm(0.1, a, b, 0.1, c, d, qp);
+        std::size_t clamped = 0;
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                clamped += d(i, j) == 127 || d(i, j) == -128;
+        EXPECT_LE(clamped, m * n / 4) << "n=" << n << " span=" << span;
+        EXPECT_GE(span, 2) << "n=" << n;
+    }
+}
 
 TEST(Verify, PathSelectionIsReported)
 {

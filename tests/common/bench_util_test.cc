@@ -12,6 +12,17 @@ namespace mc {
 namespace bench {
 namespace {
 
+TEST(SpeedupRange, PrintsMinAndMaxWithOneDecimal)
+{
+    EXPECT_EQ(speedupRange({3.04, 7.46, 2.31}), "2.3x - 7.5x");
+    EXPECT_EQ(speedupRange({4.0}), "4.0x - 4.0x");
+}
+
+TEST(SpeedupRange, SaysSoWhenNoPointWasMeasured)
+{
+    EXPECT_EQ(speedupRange({}), "no point measured");
+}
+
 TEST(RepeatMeasure, RunsRequestedRepetitions)
 {
     int calls = 0;

@@ -124,17 +124,23 @@ TEST_P(SimdConvertTest, WidenBf16AllPatterns)
 }
 
 /** Run @p in through the round_each_step chain's per-lane f16 round
- *  trip: axpyRoundHalfF32 with one k-step that adds 1 * -0 (x + -0 is
- *  x for every x, signed zeros included), so each lane comes back as
- *  widen(narrow(x)). On sse2 and NEON that narrow is the integer
- *  narrowLanesHalf; on avx2/avx512 it is vcvtps2ph. */
+ *  trip: microRoundHalfF32 on one row, one micro-panel at a time, with
+ *  one k-step that adds 1 * -0 (x + -0 is x for every x, signed zeros
+ *  included), so each lane comes back as widen(narrow(x)). On sse2 and
+ *  NEON that narrow is the integer narrowLanesHalf; on avx2/avx512 it
+ *  is vcvtps2ph. */
 std::vector<float>
 roundTripThroughChain(const SimdKernels &ker, std::vector<float> accs)
 {
     const float one = 1.0f;
-    const std::vector<float> neg_zero(accs.size(), -0.0f);
-    ker.axpyRoundHalfF32(&one, neg_zero.data(), neg_zero.size(), 1,
-                         accs.data(), accs.size());
+    const std::size_t nr = ker.nr<float>();
+    const std::size_t count = accs.size();
+    const std::vector<float> neg_zero(nr, -0.0f);
+    accs.resize((count + nr - 1) / nr * nr, 0.0f);
+    for (std::size_t j = 0; j < accs.size(); j += nr)
+        ker.microRoundHalfF32(&one, 1, neg_zero.data(), 1,
+                              accs.data() + j, nr, 1);
+    accs.resize(count);
     return accs;
 }
 
